@@ -25,6 +25,7 @@ from .sim import (
     summarize,
 )
 from .stats_core import (
+    BoundaryStatisticError,
     BracketFailureError,
     DegenerateSupportError,
     IntervalUnion,
@@ -62,6 +63,7 @@ from .testing import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BoundaryStatisticError",
     "BracketFailureError",
     "ConditionalInference",
     "Decomposition",

@@ -214,7 +214,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         event_kind=args.event,
         alpha=args.alpha,
         joint=args.joint,
-        accelerate=args.accelerate,
         workers=args.workers,
     )
     doc = {
@@ -390,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--event", default="equal", choices=["equal", "superset"])
     p_infer.add_argument(
         "--joint", action="store_true", help="Bonferroni-adjust alpha by |S|"
-    )
-    p_infer.add_argument(
-        "--accelerate", action="store_true", help="sweep only the ordering-relevant lines"
     )
     p_infer.add_argument(
         "--workers", type=int, default=None, help="parallel per-effect workers"

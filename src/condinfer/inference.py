@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stats_core import (
+    BoundaryStatisticError,
     BracketFailureError,
     DegenerateSupportError,
     IntervalUnion,
@@ -110,8 +111,9 @@ class ConditionalInference:
     ``estimate_ub`` and the conditional interval are in effect units; the
     support is in t-statistic units.  ``alpha`` is the per-effect level
     actually used (``alpha / |S|`` in joint mode).  On a per-effect numeric
-    failure the conditional fields are NaN and ``error`` holds the reason;
-    other effects are unaffected.
+    failure the conditional fields are NaN, ``error`` holds the reason and
+    ``flags`` holds ``"boundary"`` (the statistic sits on a support
+    endpoint) or ``"degenerate"``; other effects are unaffected.
     """
 
     s: int
@@ -139,8 +141,6 @@ def _infer_one(
     alpha_eff: float,
     naive: tuple[float, float, float],
     label: str | None,
-    prefilter: bool,
-    accelerate: bool,
 ) -> ConditionalInference:
     naive_est, naive_lo, naive_hi = naive
     base = dict(
@@ -155,9 +155,7 @@ def _infer_one(
     d = decompose(x, omega, s)
     support = None
     try:
-        support = conditional_support(
-            d, spec, event, prefilter=prefilter, accelerate=accelerate
-        )
+        support = conditional_support(d, spec, event)
         if abs(d.x_s) > LARGE_T:
             half = sd[s] * normal_quantile(1.0 - alpha_eff / 2.0)
             est = float(sd[s] * d.x_s)
@@ -172,7 +170,12 @@ def _infer_one(
         mu_lo = invert_truncated_mu(d.x_s, support, 1.0 - alpha_eff / 2.0)
         mu_ub = invert_truncated_mu(d.x_s, support, 0.5)
         mu_hi = invert_truncated_mu(d.x_s, support, alpha_eff / 2.0)
-    except (DegenerateSupportError, BracketFailureError, InconsistentEventError) as exc:
+    except (
+        DegenerateSupportError,
+        BracketFailureError,
+        InconsistentEventError,
+        BoundaryStatisticError,
+    ) as exc:
         if abs(d.x_s) > LARGE_T:
             half = sd[s] * normal_quantile(1.0 - alpha_eff / 2.0)
             est = float(sd[s] * d.x_s)
@@ -189,7 +192,9 @@ def _infer_one(
             ci_lo=math.nan,
             ci_hi=math.nan,
             support=support,
-            flags=("degenerate",),
+            flags=(
+                "boundary" if isinstance(exc, BoundaryStatisticError) else "degenerate",
+            ),
             error=f"{type(exc).__name__}: {exc}",
             **base,
         )
@@ -209,8 +214,6 @@ def infer_significant(
     alpha: float = 0.1,
     joint: bool = False,
     *,
-    prefilter: bool = True,
-    accelerate: bool = False,
     workers: int | None = None,
     outcome: SelectionOutcome | None = None,
 ) -> list[ConditionalInference]:
@@ -253,8 +256,6 @@ def infer_significant(
             alpha_eff,
             (float(estimates.theta_hat[s]), *unconditional_ci(estimates, s, alpha)),
             labels[s],
-            prefilter,
-            accelerate,
         )
 
     if workers is None:

@@ -166,8 +166,6 @@ def run_replication(
         cfg.alpha,
         (naive_est, naive_lo, naive_hi),
         None,
-        True,
-        False,
     )
     if result.error is not None:
         return RepRecord(selected=True, failed=True)

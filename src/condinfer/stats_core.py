@@ -38,6 +38,15 @@ class BracketFailureError(ArithmeticError):
     """Bracket expansion for the mean inversion exceeded its configured span."""
 
 
+class BoundaryStatisticError(ValueError):
+    """The observed statistic is not in the interior of its support.
+
+    The support is closed, so a statistic exactly on an endpoint belongs to
+    it, but the truncated CDF is then 0 or 1 for every mean and cannot be
+    inverted.
+    """
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF with full relative accuracy in both tails.
 
@@ -261,7 +270,7 @@ def invert_truncated_mu(x_obs: float, support: IntervalUnion, p: float) -> float
     if support.is_empty:
         raise ValueError("support must be nonempty")
     if not support.interior_contains(x_obs):
-        raise ValueError(
+        raise BoundaryStatisticError(
             f"x_obs={x_obs!r} must lie in the interior of the support"
         )
 

@@ -1,17 +1,34 @@
 """Exact conditional support of a selected t-statistic.
 
 Holding the nuisance direction fixed, every coordinate of the t-statistic
-vector is a line in the selected statistic x_s.  The set of x_s values that
-reproduce the observed selection outcome is a finite union of closed
-intervals; it is found by partitioning the real line at points where the
-ordering used by the sequential procedure can change (line/line crossings,
-sign changes, and for two-sided rules crossings of mirrored lines), and
-intersecting each cell with the linear inequalities implied by the event.
+vector is a line s_h(x) = a_h x + b_h in the selected statistic x.  The set
+of x that reproduce the observed selection outcome is a finite union of
+closed intervals.
+
+Every family but ``bootstrap`` has thresholds that depend only on how many
+hypotheses remain, and then the outcome depends on x only through the
+counts N_c(x) = #{h : s_h(x) >= c} at the step thresholds c:
+
+- a step-down walk with t_1 >= ... >= t_m passes step j exactly when
+  N_{t_j}(x) >= j, and selects {h : s_h(x) >= t_{J+1}} after passing J steps;
+- a step-up walk with u_r = t_{m-r+1} selects the R* = max{r : N_{u_r} >= r}
+  largest statistics, {h : s_h(x) >= u_{R*}}.
+
+So only crossings of a line with a threshold level change the outcome;
+crossings between two lines never do.  Under two-sided testing |s| >= c > 0
+holds for exactly one of s and -s, so the count runs over the 2m lines
+±(a_h, b_h).  The count engine cuts the line at each level's crossings,
+counts the lines at or above the level in every cell with one cumulative
+sum, and returns the admitted cells as already-merged intervals (Lee, Sun,
+Sun & Taylor 2016 truncate along the same line through the data).
+
+The ``bootstrap`` thresholds depend on the set of remaining hypotheses, so
+its support is found cell by cell between the points where the ordering of
+the scores can change.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -21,7 +38,6 @@ import numpy as np
 from .stats_core import DegenerateSupportError, IntervalUnion
 from .testing import (
     STEP_DOWN,
-    STEP_UP,
     SelectionOutcome,
     ThresholdSpec,
     _batch_membership,
@@ -32,13 +48,17 @@ from .testing import (
 
 _INF = math.inf
 
-#: Relative tolerance below which nearby sweep breakpoints are collapsed.
+#: Relative tolerance below which nearby bootstrap breakpoints are collapsed.
 BREAKPOINT_TOL = 1e-12
 
 #: Relative gap below which adjacent support pieces are coalesced.
 MERGE_TOL = 1e-10
 
-_BLOCK = 4096
+#: Most (level, line) crossings the count engine holds at once.
+_BLOCK = 1 << 18
+
+_NOTHING = (np.empty(0), np.empty(0))
+_EVERYWHERE = (-_INF, _INF)
 
 
 class InconsistentEventError(ValueError):
@@ -122,7 +142,7 @@ def membership_oracle(
     """Does setting the selected statistic to ``x_s`` reproduce the event?
 
     Runs the full selection procedure on the reconstructed vector; this is
-    the ground truth the sweep-based support computation is checked against.
+    the ground truth the support computation is checked against.
     """
     vec = d.omega_col * x_s + d.z
     return _event_holds(select(vec, spec), event)
@@ -179,7 +199,194 @@ def merge_intervals(
 
 
 # ---------------------------------------------------------------------------
-# breakpoints and partitions
+# count engine (cardinality families)
+# ---------------------------------------------------------------------------
+
+
+def _lines(a, b, rows, two):
+    """Slopes, intercepts and source rows of the lines a count runs over."""
+    rows = np.asarray(rows, dtype=int)
+    if two:
+        rows = np.concatenate((rows, rows))
+        half = rows.size // 2
+        a, b = a[rows], b[rows]
+        a[half:] *= -1.0
+        b[half:] *= -1.0
+        return a, b, rows
+    return a[rows], b[rows], rows
+
+
+def _window(a, b, c, strict):
+    """Interval of x where every line a x + b is at most c, or None.
+
+    A flat line is compared as is: below c if ``strict``, else at most c.
+    """
+    flat = a == 0.0
+    if np.any(b[flat] >= c if strict else b[flat] > c):
+        return None
+    cross = (c - b[~flat]) / a[~flat]
+    lo = float(cross[a[~flat] < 0.0].max(initial=-_INF))
+    hi = float(cross[a[~flat] > 0.0].min(initial=_INF))
+    return (lo, hi) if lo <= hi else None
+
+
+def _quiet_window(a, b, rows, c, two):
+    """Interval where no score in ``rows`` reaches c (closed at sloped lines)."""
+    if not rows.size:
+        return _EVERYWHERE
+    return _window(*_lines(a, b, rows, two)[:2], c, True)
+
+
+def _level_cells(a, b, levels, group, w_lo, w_hi):
+    """Cells of [w_lo, w_hi] cut where a line meets a level, with counts.
+
+    Row i holds the cells of ``levels[i]``; ``counts[0][i, c]`` is the
+    number of lines at or above the level in cell c, and ``counts[1]`` the
+    number among the lines with ``group`` weight 1, if a group is given.
+    Cells of zero length are left for the caller to drop.
+    """
+    rise, fall = a > 0.0, a < 0.0
+    flat = ~(rise | fall)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (levels[:, None] - b) / a
+    cross[:, flat] = _INF
+    order = np.argsort(cross, axis=1)
+    edges = np.clip(cross[np.arange(levels.size)[:, None], order], w_lo, w_hi)
+    k = levels.size
+    lo = np.concatenate((np.full((k, 1), w_lo), edges), axis=1)
+    hi = np.concatenate((edges, np.full((k, 1), w_hi)), axis=1)
+    step = rise.astype(int) - fall
+    counts = []
+    for w in (np.ones(a.size, dtype=int),) + (() if group is None else (group,)):
+        # lines at or above the level left of every crossing: the falling
+        # ones and the flat ones that clear it
+        start = w @ fall + (b[flat] >= levels[:, None]) @ w[flat]
+        cum = np.cumsum((w * step)[order], axis=1)
+        counts.append(start[:, None] + np.concatenate((np.zeros((k, 1), dtype=int), cum), axis=1))
+    return lo, hi, counts
+
+
+def _flagged(a, b, levels, flag, window, group=None):
+    """Pieces (lo, hi) of the cells where ``flag(rows, counts)`` holds.
+
+    ``rows`` is the slice of ``levels`` in the current block, so a flag can
+    index per-level requirements with it.
+    """
+    los, his = [np.empty(0)], [np.empty(0)]
+    per = max(1, _BLOCK // (a.size + 1))
+    for start in range(0, levels.size, per):
+        rows = slice(start, start + per)
+        lo, hi, counts = _level_cells(a, b, levels[rows], group, *window)
+        keep = (lo < hi) & flag(rows, counts)
+        los.append(lo[keep])
+        his.append(hi[keep])
+    return np.concatenate(los), np.concatenate(his)
+
+
+def _union(*pieces):
+    """Sorted disjoint union of closed (lo, hi) pieces; touching ones merge."""
+    lo = np.concatenate([p[0] for p in pieces])
+    hi = np.concatenate([p[1] for p in pieces])
+    if lo.size == 0:
+        return lo, hi
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    reach = np.maximum.accumulate(hi[order])
+    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+    return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
+
+
+def _gaps(bad, window):
+    """Complement of a sorted disjoint union inside the window."""
+    lo = np.concatenate(([window[0]], bad[1]))
+    hi = np.concatenate((bad[0], [window[1]]))
+    keep = lo < hi
+    return lo[keep], hi[keep]
+
+
+def _score_floor(a, b, window, two):
+    """Lower bound of min_h score_h(x) over the window."""
+    with np.errstate(invalid="ignore"):
+        ends = a[:, None] * np.asarray(window) + b[:, None]
+    ends[a == 0.0] = b[a == 0.0, None]
+    if not two:
+        return ends.min()
+    if np.any(ends[:, 0] * ends[:, 1] <= 0.0):
+        return 0.0
+    return np.abs(ends).min()
+
+
+def _member(rows, inside, m):
+    """0/1 weights of the lines whose source row is in ``inside``."""
+    mask = np.zeros(m, dtype=int)
+    mask[inside] = 1
+    return mask[rows]
+
+
+def _count_step_down(a, b, t, event, two):
+    m = t.size
+    inside = sorted(event.indices)
+    k = len(inside)
+    if event.kind == "equal":
+        # every other score stays below t_{k+1}, which leaves one window;
+        # inside it only the S lines can change N_{t_j} for j <= k
+        comp = np.setdiff1d(np.arange(m), inside)
+        window = _quiet_window(a, b, comp, t[k] if k < m else _INF, two)
+        if window is None:
+            return _NOTHING
+        la, lb, _ = _lines(a, b, inside, two)
+        need = np.arange(1, k + 1)
+        bad = _flagged(la, lb, t[:k], lambda rows, n: n[0] < need[rows, None], window)
+        return _gaps(_union(bad), window)
+    # step j either passes or every required score already clears t_j,
+    # which holds on the whole window for t_j at or below the score floor
+    window = _EVERYWHERE if two else _window(-a[inside], -b[inside], -t[-1], False)
+    if window is None:
+        return _NOTHING
+    levels = t[t > _score_floor(a[inside], b[inside], window, two)]
+    la, lb, rows_of = _lines(a, b, range(m), two)
+    need = np.arange(1, levels.size + 1)
+
+    def bad_step(rows, n):
+        return (n[0] < need[rows, None]) & (n[1] < k)
+
+    bad = _flagged(la, lb, levels, bad_step, window, _member(rows_of, inside, m))
+    return _gaps(_union(bad), window)
+
+
+def _count_step_up(a, b, t, event, two):
+    m = t.size
+    u = t[::-1]  # u[r - 1] is the critical value met with r selections
+    inside = sorted(event.indices)
+    k = len(inside)
+    if event.kind == "equal":
+        # R* = k: the S lines clear u_k, the others stay below it, and no
+        # r > k finds r scores at or above u_r, i.e. r - k of the others
+        comp = np.setdiff1d(np.arange(m), inside)
+        window = _quiet_window(a, b, comp, u[k - 1], two)
+        if window is None:
+            return _NOTHING
+        sa, sb, _ = _lines(a, b, inside, two)
+        ca, cb, _ = _lines(a, b, comp, two)
+        need = np.arange(1, m - k + 1)
+        bad_s = _flagged(sa, sb, u[k - 1 : k], lambda rows, n: n[0] < k, window)
+        bad_c = _flagged(ca, cb, u[k:], lambda rows, n: n[0] >= need[rows, None], window)
+        return _gaps(_union(bad_s, bad_c), window)
+    # R is selected as soon as some r has N_{u_r} >= r with R at or above u_r
+    window = _EVERYWHERE if two else _window(-a[inside], -b[inside], -u[-1], False)
+    if window is None:
+        return _NOTHING
+    la, lb, rows_of = _lines(a, b, range(m), two)
+    need = np.arange(1, m + 1)
+
+    def good(rows, n):
+        return (n[0] >= need[rows, None]) & (n[1] >= k)
+
+    return _union(_flagged(la, lb, u, good, window, _member(rows_of, inside, m)))
+
+
+# ---------------------------------------------------------------------------
+# per-cell reference (set-dependent bootstrap thresholds)
 # ---------------------------------------------------------------------------
 
 
@@ -200,7 +407,6 @@ def _breakpoints_brute(
     two_sided: bool,
     w_lo: float,
     w_hi: float,
-    axis_rows: Sequence[int] | None = None,
 ) -> np.ndarray:
     """All ordering breakpoints among the given lines, clipped to the window.
 
@@ -221,87 +427,16 @@ def _breakpoints_brute(
             sa = aa[i] + aa[j]
             nz = sa != 0.0
             chunks.append(-(bb[i] + bb[j])[nz] / sa[nz])
-    if two_sided:
-        ar = rows if axis_rows is None else np.asarray(list(axis_rows), dtype=int)
-        if ar.size:
-            aa, bb = a[ar], b[ar]
-            nz = aa != 0.0
-            chunks.append(-bb[nz] / aa[nz])
+    if two_sided and rows.size:
+        aa, bb = a[rows], b[rows]
+        nz = aa != 0.0
+        chunks.append(-bb[nz] / aa[nz])
     if not chunks:
         return np.empty(0)
     points = np.concatenate(chunks)
     points = points[np.isfinite(points)]
     points = points[(points > w_lo) & (points < w_hi)]
     points.sort()
-    return _dedup_sorted(points)
-
-
-def _sweep_breakpoints(
-    a: np.ndarray,
-    b: np.ndarray,
-    rows: Sequence[int],
-    w_lo: float,
-    w_hi: float,
-) -> np.ndarray:
-    """Crossings of plain lines inside the window via a neighbor sweep.
-
-    Classic arrangement sweep: only lines adjacent in the current vertical
-    order can cross next, so a priority queue of adjacent-pair crossing
-    abscissas enumerates every intersection in increasing order.  An event
-    is acted on only when the pair is still adjacent and still ordered
-    against its slopes (pre-crossing), which makes stale and concurrent
-    events self-resolving.
-    """
-    rows = list(rows)
-    n = len(rows)
-    if n < 2:
-        return np.empty(0)
-    aa = a[rows].astype(float)
-    bb = b[rows].astype(float)
-
-    if math.isfinite(w_lo):
-        order = sorted(range(n), key=lambda i: (aa[i] * w_lo + bb[i], aa[i], i))
-    else:
-        # ascending value at x -> -inf: steeper lines sit lower
-        order = sorted(range(n), key=lambda i: (-aa[i], bb[i], i))
-    pos = [0] * n
-    for p, i in enumerate(order):
-        pos[i] = p
-
-    def crossing(i: int, j: int) -> float | None:
-        da = aa[i] - aa[j]
-        if da == 0.0:
-            return None
-        x = (bb[j] - bb[i]) / da
-        return x if math.isfinite(x) else None
-
-    heap: list[tuple[float, int, int]] = []
-
-    def push(lower: int, upper: int, x_now: float) -> None:
-        x = crossing(lower, upper)
-        if x is not None and x >= x_now and w_lo < x < w_hi:
-            heapq.heappush(heap, (x, lower, upper))
-
-    for p in range(n - 1):
-        push(order[p], order[p + 1], w_lo if math.isfinite(w_lo) else -_INF)
-
-    found: list[float] = []
-    while heap:
-        x, i, j = heapq.heappop(heap)
-        if abs(pos[i] - pos[j]) != 1:
-            continue
-        lower, upper = (i, j) if pos[i] < pos[j] else (j, i)
-        if aa[lower] <= aa[upper]:
-            continue  # already in post-crossing order
-        found.append(x)
-        pl, pu = pos[lower], pos[upper]
-        order[pl], order[pu] = upper, lower
-        pos[lower], pos[upper] = pu, pl
-        if pl > 0:
-            push(order[pl - 1], order[pl], x)
-        if pu < n - 1:
-            push(order[pu], order[pu + 1], x)
-    points = np.asarray(sorted(found))
     return _dedup_sorted(points)
 
 
@@ -324,11 +459,6 @@ def _partition(
     reps[right_open] = los[right_open] + 1.0
     reps[~np.isfinite(los) & ~np.isfinite(his)] = 0.0
     return los, his, reps
-
-
-# ---------------------------------------------------------------------------
-# per-cell linear constraints
-# ---------------------------------------------------------------------------
 
 
 def _apply_linear(
@@ -364,86 +494,33 @@ def _require_ge(lohi, a_h, b_h, v_h, t, two_sided):
     return None  # |value| == 0 on this cell can never clear t > 0
 
 
-def _require_le(lohi, a_h, b_h, t, two_sided):
-    """Cell restriction for 'statistic insignificant at critical value t'."""
-    out = _apply_linear(lohi, a_h, b_h, t, False)
-    if out is None or not two_sided:
-        return out
-    return _apply_linear(out, a_h, b_h, -t, True)
-
-
-def _cell_sd_equal(lohi, v, score, a, b, ordered_s, comp, spec, steps, two):
+def _cell_sd_equal(lohi, v, a, b, ordered_s, comp, spec, two):
+    # the window already keeps every other statistic below x̄(comp)
     cur = lohi
     for rank, h in enumerate(ordered_s):
-        if steps is not None:
-            t = steps[rank]
-        else:
-            t = threshold_value(spec, list(ordered_s[rank:]) + comp)
+        t = threshold_value(spec, list(ordered_s[rank:]) + comp)
         cur = _require_ge(cur, a[h], b[h], v[h], t, two)
         if cur is None:
             return None
-    if comp:
-        t0 = (
-            steps[len(ordered_s)]
-            if steps is not None
-            else threshold_value(spec, comp)
-        )
-        for h in comp:
-            cur = _require_le(cur, a[h], b[h], t0, two)
-            if cur is None:
-                return None
     return cur
 
 
-def _cell_sd_superset(lohi, v, score, a, b, required, spec, steps, two):
-    m = spec.m
-    order = sorted(range(m), key=lambda h: (-score[h], h))
+def _cell_sd_superset(lohi, v, score, a, b, required, spec, two):
+    order = sorted(range(spec.m), key=lambda h: (-score[h], h))
     rank_of = {h: r for r, h in enumerate(order)}
     j_star = max(rank_of[h] for h in required)
     cur = lohi
     for j in range(j_star + 1):
         h = order[j]
-        t = steps[j] if steps is not None else threshold_value(spec, order[j:])
+        t = threshold_value(spec, order[j:])
         cur = _require_ge(cur, a[h], b[h], v[h], t, two)
         if cur is None:
             return None
     return cur
 
 
-def _cell_su_equal(lohi, v, score, a, b, sel, comp, spec, steps, two):
-    t_sel = steps[spec.m - len(sel)]
-    cur = lohi
-    for h in sel:
-        cur = _require_ge(cur, a[h], b[h], v[h], t_sel, two)
-        if cur is None:
-            return None
-    order_c = sorted(comp, key=lambda h: (score[h], h))
-    for rank, h in enumerate(order_c):
-        cur = _require_le(cur, a[h], b[h], steps[rank], two)
-        if cur is None:
-            return None
-    return cur
-
-
-def _cell_su_superset(lohi, v, score, a, b, required, spec, steps, two):
-    # the event holds as soon as some statistic at or below the lowest
-    # required rank clears its own step threshold, so the cell contributes a
-    # union of half-space slices rather than a single [l, u]
-    m = spec.m
-    order = sorted(range(m), key=lambda h: (score[h], h))
-    rank_of = {h: r for r, h in enumerate(order)}
-    r_min = min(rank_of[h] for h in required)
-    out = []
-    for j in range(r_min + 1):
-        h = order[j]
-        piece = _require_ge(lohi, a[h], b[h], v[h], steps[j], two)
-        if piece is not None:
-            out.append(piece)
-    return out
-
-
-def _pieces_cellwise(a, b, los, his, reps, spec, event, steps):
-    """Reference per-cell evaluation; handles any threshold family."""
+def _pieces_cellwise(a, b, los, his, reps, spec, event):
+    """Per-cell evaluation of a step-down walk with set-dependent thresholds."""
     two = spec.sided == "two"
     indices = sorted(event.indices)
     comp = [h for h in range(spec.m) if h not in event.indices]
@@ -451,163 +528,20 @@ def _pieces_cellwise(a, b, los, his, reps, spec, event, steps):
     for lo0, hi0, t in zip(los, his, reps):
         v = a * t + b
         score = np.abs(v) if two else v
-        lohi = (lo0, hi0)
-        if spec.procedure == STEP_DOWN:
-            if event.kind == "equal":
-                ordered_s = sorted(indices, key=lambda h: (-score[h], h))
-                cell = _cell_sd_equal(
-                    lohi, v, score, a, b, ordered_s, comp, spec, steps, two
-                )
-            else:
-                cell = _cell_sd_superset(
-                    lohi, v, score, a, b, indices, spec, steps, two
-                )
-            if cell is not None:
-                pieces.append(cell)
+        if event.kind == "equal":
+            ordered_s = sorted(indices, key=lambda h: (-score[h], h))
+            cell = _cell_sd_equal((lo0, hi0), v, a, b, ordered_s, comp, spec, two)
         else:
-            if event.kind == "equal":
-                cell = _cell_su_equal(
-                    lohi, v, score, a, b, indices, comp, spec, steps, two
-                )
-                if cell is not None:
-                    pieces.append(cell)
-            else:
-                pieces.extend(
-                    _cell_su_superset(lohi, v, score, a, b, indices, spec, steps, two)
-                )
+            cell = _cell_sd_superset((lo0, hi0), v, score, a, b, indices, spec, two)
+        if cell is not None:
+            pieces.append(cell)
     return pieces
 
 
-# ---------------------------------------------------------------------------
-# vectorized step-down engines (cardinality-based families)
-# ---------------------------------------------------------------------------
-
-
-def _reduce_bounds(lo, hi, cand, targ, geq, a_rows, b_rows, active):
-    """Shared bound reduction over a (rows x cells) constraint block."""
-    flat = a_rows == 0.0
-    apos = a_rows > 0.0
-    low_mask = active & ~flat & (geq == apos)
-    upp_mask = active & ~flat & (geq != apos)
-    if cand.shape[0]:
-        lo = np.maximum(lo, np.where(low_mask, cand, -np.inf).max(axis=0))
-        hi = np.minimum(hi, np.where(upp_mask, cand, np.inf).min(axis=0))
-    flat_bad = (
-        active & flat & np.where(geq, b_rows < targ, b_rows > targ)
-    ).any(axis=0)
-    return lo, hi, flat_bad
-
-
-def _pieces_sd_equal_vec(a, b, sel, comp, los, his, reps, spec, steps, two):
-    m = spec.m
-    # thresholds faced by insignificant statistics never depend on the cell
-    # ordering, so they collapse to constants
-    w_lo, w_hi = -_INF, _INF
-    if comp:
-        t0 = steps[len(sel)]
-        for h in comp:
-            if a[h] > 0.0:
-                w_hi = min(w_hi, (t0 - b[h]) / a[h])
-                if two:
-                    w_lo = max(w_lo, (-t0 - b[h]) / a[h])
-            elif a[h] < 0.0:
-                w_lo = max(w_lo, (t0 - b[h]) / a[h])
-                if two:
-                    w_hi = min(w_hi, (-t0 - b[h]) / a[h])
-            else:
-                ok = abs(b[h]) <= t0 if two else b[h] <= t0
-                if not ok:
-                    return []
-    sel = np.asarray(sel, dtype=int)
-    a_s = a[sel]
-    b_s = b[sel]
-    thr_s = steps[: sel.size]
-    pieces: list[tuple[float, float]] = []
-    for start in range(0, reps.size, _BLOCK):
-        r = reps[start : start + _BLOCK]
-        k = r.size
-        lo = np.maximum(los[start : start + _BLOCK], w_lo)
-        hi = np.minimum(his[start : start + _BLOCK], w_hi)
-        values = a_s[:, None] * r[None, :] + b_s[:, None]
-        score = np.abs(values) if two else values
-        order = np.argsort(-score, axis=0, kind="stable")
-        ranks = np.empty_like(order)
-        np.put_along_axis(
-            ranks, order, np.broadcast_to(np.arange(sel.size)[:, None], (sel.size, k)),
-            axis=0,
-        )
-        thr = thr_s[ranks]
-        if two:
-            positive = values > 0.0
-            dead = (~positive & ~(values < 0.0)).any(axis=0)
-            targ = np.where(positive, thr, -thr)
-            geq = positive
-        else:
-            dead = np.zeros(k, dtype=bool)
-            targ = thr
-            geq = np.ones_like(thr, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = (targ - b_s[:, None]) / a_s[:, None]
-        lo, hi, flat_bad = _reduce_bounds(
-            lo, hi, cand, targ, geq, a_s[:, None], b_s[:, None],
-            np.ones_like(geq, dtype=bool),
-        )
-        ok = ~dead & ~flat_bad & (lo <= hi)
-        pieces.extend(zip(lo[ok].tolist(), hi[ok].tolist()))
-    return pieces
-
-
-def _pieces_sd_superset_vec(a, b, required, los, his, reps, spec, steps, two):
-    m = spec.m
-    req = np.asarray(required, dtype=int)
-    pieces: list[tuple[float, float]] = []
-    for start in range(0, reps.size, _BLOCK):
-        r = reps[start : start + _BLOCK]
-        k = r.size
-        lo = los[start : start + _BLOCK].copy()
-        hi = his[start : start + _BLOCK].copy()
-        values = a[:, None] * r[None, :] + b[:, None]
-        score = np.abs(values) if two else values
-        v_star = score[req].min(axis=0)
-        counts = (score >= v_star[None, :]).sum(axis=0)
-        j_max = int(counts.max())
-        # only the prefix of ranks down to the lowest required statistic is
-        # constrained; pull those rows out instead of fully sorting
-        part = np.argpartition(-score, j_max - 1, axis=0)[:j_max]
-        top = np.take_along_axis(score, part, axis=0)
-        local = np.argsort(-top, axis=0, kind="stable")
-        rows = np.take_along_axis(part, local, axis=0)
-        a_r = a[rows]
-        b_r = b[rows]
-        active = np.arange(j_max)[:, None] < counts[None, :]
-        thr = np.broadcast_to(steps[:j_max, None], (j_max, k))
-        if two:
-            v_rows = np.take_along_axis(values, rows, axis=0)
-            positive = v_rows > 0.0
-            dead = (active & ~positive & ~(v_rows < 0.0)).any(axis=0)
-            targ = np.where(positive, thr, -thr)
-            geq = positive
-        else:
-            dead = np.zeros(k, dtype=bool)
-            targ = thr
-            geq = np.ones((j_max, k), dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = (targ - b_r) / a_r
-        lo, hi, flat_bad = _reduce_bounds(lo, hi, cand, targ, geq, a_r, b_r, active)
-        ok = ~dead & ~flat_bad & (lo <= hi)
-        pieces.extend(zip(lo[ok].tolist(), hi[ok].tolist()))
-    return pieces
-
-
-# ---------------------------------------------------------------------------
-# initial window (necessary restrictions) and the public entry point
-# ---------------------------------------------------------------------------
-
-
-def _initial_window(a, b, spec, event, steps):
+def _initial_window(a, b, spec, event):
     """Necessary linear restrictions on x_s, folded into one interval.
 
-    Every returned bound is implied by membership, so clipping the sweep to
+    Every returned bound is implied by membership, so clipping the cells to
     this window never changes the computed support.  Restrictions that are
     not convex in x_s (two-sided significance of a required effect) are
     skipped.
@@ -633,61 +567,54 @@ def _initial_window(a, b, spec, event, steps):
         elif (b_h < t) if geq else (b_h > t):
             empty = True
 
-    if spec.procedure == STEP_DOWN and event.kind == "equal":
+    if event.kind == "equal":
         if comp:
-            t0 = steps[len(indices)] if steps is not None else threshold_value(spec, comp)
+            t0 = threshold_value(spec, comp)
             for h in comp:
                 clip(a[h], b[h], t0, geq=False)
                 if two:
                     clip(a[h], b[h], -t0, geq=True)
-        if not two and indices:
-            if steps is not None:
-                t_crit = steps[len(indices) - 1]
-            else:
-                t_crit = min(threshold_value(spec, [h] + comp) for h in indices)
+        if not two:
+            t_crit = min(threshold_value(spec, [h] + comp) for h in indices)
             for h in indices:
                 clip(a[h], b[h], t_crit, geq=True)
-    elif spec.procedure == STEP_DOWN:
-        if not two:
-            for h in indices:
-                t = steps[-1] if steps is not None else threshold_value(spec, [h])
-                clip(a[h], b[h], t, geq=True)
-    elif event.kind == "equal":
-        t_sel = steps[spec.m - len(indices)] if indices else None
-        if not two and indices:
-            for h in indices:
-                clip(a[h], b[h], t_sel, geq=True)
-        if comp:
-            t_max = steps[len(comp) - 1]
-            for h in comp:
-                clip(a[h], b[h], t_max, geq=False)
-                if two:
-                    clip(a[h], b[h], -t_max, geq=True)
-    else:
-        if not two:
-            for h in indices:
-                clip(a[h], b[h], steps[0], geq=True)
+    elif not two:
+        for h in indices:
+            clip(a[h], b[h], threshold_value(spec, [h]), geq=True)
 
     if empty or lo > hi:
         return 1.0, -1.0
     return lo, hi
 
 
+def _cellwise(a, b, spec, event):
+    w_lo, w_hi = _initial_window(a, b, spec, event)
+    if w_lo > w_hi:
+        return []
+    # lines outside an equal event's set face the constant x̄(comp), which
+    # the window already enforces, so only the order among S lines matters
+    rows = sorted(event.indices) if event.kind == "equal" else range(spec.m)
+    points = _breakpoints_brute(a, b, rows, spec.sided == "two", w_lo, w_hi)
+    los, his, reps = _partition(points, w_lo, w_hi)
+    return _pieces_cellwise(a, b, los, his, reps, spec, event)
+
+
+# ---------------------------------------------------------------------------
+# public entry point
+# ---------------------------------------------------------------------------
+
+
 def conditional_support(
-    d: Decomposition,
-    spec: ThresholdSpec,
-    event: SelectionEvent,
-    *,
-    prefilter: bool = True,
-    accelerate: bool = False,
+    d: Decomposition, spec: ThresholdSpec, event: SelectionEvent
 ) -> IntervalUnion:
     """Closure of the x_s values compatible with the selection event.
 
-    ``prefilter`` clips the sweep to an interval of necessary conditions;
-    ``accelerate`` additionally restricts the breakpoint search to the lines
-    whose ordering can matter for equal events and, for one-sided step-down
-    equal events, enumerates their crossings with a neighbor sweep instead
-    of all-pairs enumeration.  Neither switch changes the returned union.
+    Cardinality families go through the count engine: the line is cut only
+    where a score meets a step threshold, and each cell is kept or dropped
+    by counting the scores at or above the threshold (step-down ``equal``
+    counts only the S lines inside the window the other lines leave).  The
+    ``bootstrap`` family is evaluated cell by cell between ordering
+    breakpoints.
 
     Raises :class:`DegenerateSupportError` when the event admits no value at
     all, and :class:`InconsistentEventError` when the observed statistic is
@@ -704,45 +631,13 @@ def conditional_support(
     if any(not 0 <= h < m for h in event.indices):
         raise ValueError("event indices out of range")
     two = spec.sided == "two"
-    indices = sorted(event.indices)
-    comp = [h for h in range(m) if h not in event.indices]
     steps = thresholds_by_step(spec)
-    if steps is None and spec.procedure == STEP_UP:
-        raise ValueError("step-up support requires per-step thresholds")
-
-    if prefilter:
-        w_lo, w_hi = _initial_window(a, b, spec, event, steps)
+    if steps is None:
+        pieces = _cellwise(a, b, spec, event)
     else:
-        w_lo, w_hi = -_INF, _INF
-    if w_lo > w_hi:
-        raise DegenerateSupportError("the selection event admits no value of x_s")
-
-    if accelerate and event.kind == "equal":
-        order_rows = indices if spec.procedure == STEP_DOWN else comp
-        if two:
-            points = _breakpoints_brute(
-                a, b, order_rows, True, w_lo, w_hi, axis_rows=range(m)
-            )
-        elif spec.procedure == STEP_DOWN:
-            points = _sweep_breakpoints(a, b, order_rows, w_lo, w_hi)
-        else:
-            points = _breakpoints_brute(a, b, order_rows, False, w_lo, w_hi)
-    else:
-        points = _breakpoints_brute(a, b, range(m), two, w_lo, w_hi)
-
-    los, his, reps = _partition(points, w_lo, w_hi)
-
-    if spec.procedure == STEP_DOWN and steps is not None:
-        if event.kind == "equal":
-            pieces = _pieces_sd_equal_vec(
-                a, b, indices, comp, los, his, reps, spec, steps, two
-            )
-        else:
-            pieces = _pieces_sd_superset_vec(
-                a, b, indices, los, his, reps, spec, steps, two
-            )
-    else:
-        pieces = _pieces_cellwise(a, b, los, his, reps, spec, event, steps)
+        engine = _count_step_down if spec.procedure == STEP_DOWN else _count_step_up
+        lo, hi = engine(a, b, steps, event, two)
+        pieces = list(zip(lo.tolist(), hi.tolist()))
 
     union = merge_intervals(pieces)
     if union.is_empty:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class ThresholdSpec:
     families, FDR q for bh/by, FDP exceedance level for fdp).  ``table``
     supplies the ``fixed`` family as per-step critical values: the value
     compared against the statistic examined at step j is ``table[j-1]``
-    (step-down tables are non-increasing, step-up tables non-decreasing).
+    (step-down tables must be non-increasing, step-up tables non-decreasing).
     ``draws`` supplies the ``bootstrap`` family as a B x m matrix of
     bootstrapped t-statistics; x̄(A) is then the empirical (1 - level)
     quantile of the per-draw maxima over A.
@@ -108,6 +109,31 @@ class ThresholdSpec:
             raise ValueError(
                 f"family {self.family!r} cannot drive a {procedure} procedure"
             )
+        if self.family == "fixed":
+            pairs = zip(self.table, self.table[1:])
+            if procedure == STEP_DOWN and any(b > a for a, b in pairs):
+                raise ValueError("a step-down fixed table must be non-increasing")
+            if procedure == STEP_UP and any(b < a for a, b in pairs):
+                raise ValueError("a step-up fixed table must be non-decreasing")
+
+    @cached_property
+    def steps(self) -> np.ndarray | None:
+        """Read-only critical values by step j = 1..m; None for ``bootstrap``.
+
+        Computed once per spec.  A step whose tail level leaves no positive
+        threshold holds NaN; :func:`threshold_value` and
+        :func:`thresholds_by_step` raise for it.
+        """
+        if self.family == "bootstrap":
+            return None
+        if self.family == "fixed":
+            values = np.array(self.table, dtype=float)
+        else:
+            values = np.array(
+                [_quantile_threshold(self, j) for j in range(1, self.m + 1)]
+            )
+        values.flags.writeable = False
+        return values
 
 
 def _tail_level(spec: ThresholdSpec, step: int) -> float:
@@ -132,14 +158,19 @@ def _tail_level(spec: ThresholdSpec, step: int) -> float:
 
 
 def _quantile_threshold(spec: ThresholdSpec, step: int) -> float:
+    """Critical value at step j, or NaN if its tail level is not in (0, 1/2)."""
     tail = _tail_level(spec, step)
     if spec.sided == "two":
         tail /= 2.0
     if not 0.0 < tail < 0.5:
-        raise ValueError(
-            f"step {step} tail level {tail!r} leaves a non-positive threshold"
-        )
+        return math.nan
     return normal_quantile(1.0 - tail)
+
+
+def _missing_step(spec: ThresholdSpec, step: int) -> NoReturn:
+    raise ValueError(
+        f"step {step} of the {spec.family!r} family leaves no positive threshold"
+    )
 
 
 def _bootstrap_threshold(spec: ThresholdSpec, columns: np.ndarray) -> float:
@@ -167,12 +198,12 @@ def threshold_value(spec: ThresholdSpec, subset: Iterable[int]) -> float:
     if idx.min() < 0 or idx.max() >= spec.m:
         raise ValueError(f"subset indices out of range for m={spec.m}")
     step = spec.m - idx.size + 1
-    if spec.family == "bootstrap":
-        value = _bootstrap_threshold(spec, idx)
-    elif spec.family == "fixed":
-        value = spec.table[step - 1]
-    else:
-        value = _quantile_threshold(spec, step)
+    if spec.family != "bootstrap":
+        value = float(spec.steps[step - 1])
+        if math.isnan(value):
+            _missing_step(spec, step)
+        return value
+    value = _bootstrap_threshold(spec, idx)
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"threshold for |A|={idx.size} is not positive finite")
     return value
@@ -183,15 +214,14 @@ def thresholds_by_step(spec: ThresholdSpec) -> np.ndarray | None:
 
     Step-down sequences are non-increasing, step-up sequences non-decreasing.
     Only the bootstrap family genuinely depends on the subset beyond its
-    size, so it is the only family returning None.
+    size, so it is the only family returning None.  The array is the spec's
+    read-only :attr:`ThresholdSpec.steps`; a step without a positive
+    threshold raises ``ValueError``.
     """
-    if spec.family == "bootstrap":
-        return None
-    if spec.family == "fixed":
-        return np.asarray(spec.table, dtype=float)
-    return np.asarray(
-        [_quantile_threshold(spec, j) for j in range(1, spec.m + 1)], dtype=float
-    )
+    steps = spec.steps
+    if steps is not None and np.isnan(steps).any():
+        _missing_step(spec, int(np.isnan(steps).argmax()) + 1)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -235,11 +265,14 @@ def step_down_select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcom
         raise ValueError(f"expected {spec.m} statistics, got shape {x.shape}")
     score = _scores(x, spec.sided)
     order = np.lexsort((np.arange(spec.m), -score))
+    steps = spec.steps
     selected: list[int] = []
     thresholds: list[float] = []
     for j in range(spec.m):
-        remaining = order[j:]
-        t = threshold_value(spec, remaining)
+        if steps is None or math.isnan(steps[j]):
+            t = threshold_value(spec, order[j:])
+        else:
+            t = float(steps[j])
         h = int(order[j])
         if score[h] < t:
             break
@@ -266,16 +299,19 @@ def step_up_select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
         raise ValueError(f"expected {spec.m} statistics, got shape {x.shape}")
     score = _scores(x, spec.sided)
     order = np.lexsort((np.arange(spec.m), score))
-    for j in range(spec.m):
-        remaining = order[j:]
-        t = threshold_value(spec, remaining)
-        if score[int(order[j])] >= t:
-            significant = tuple(int(h) for h in order[j:][::-1])
-            insignificant = tuple(int(h) for h in sorted(order[:j]))
-            return SelectionOutcome(
-                significant, insignificant, (t,) * len(significant), STEP_UP
-            )
-    return SelectionOutcome((), tuple(range(spec.m)), (), STEP_UP)
+    # step-up tail levels fall with the step, so steps without a threshold
+    # come first, the walk always reaches them, and thresholds_by_step may
+    # raise for them up front
+    steps = thresholds_by_step(spec)
+    stops = np.flatnonzero(score[order] >= steps)
+    if not stops.size:
+        return SelectionOutcome((), tuple(range(spec.m)), (), STEP_UP)
+    j = int(stops[0])
+    significant = tuple(order[j:][::-1].tolist())
+    insignificant = tuple(sorted(order[:j].tolist()))
+    return SelectionOutcome(
+        significant, insignificant, (float(steps[j]),) * len(significant), STEP_UP
+    )
 
 
 def select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
@@ -345,24 +381,21 @@ def wild_bootstrap_draws(
         raise ValueError("at least 2 bootstrap draws are required")
     _, inverse = np.unique(cluster_ids, return_inverse=True)
     n_clusters = int(inverse.max()) + 1
-
-    out = np.empty((n_draws, m), dtype=float)
+    cluster_sums = np.zeros((n_clusters, m))
+    np.add.at(cluster_sums, inverse, residuals)
+    # the weights square to one, so every replicate has the same standard
+    # error, and a replicate's estimates are its weights times the cluster sums
+    se = np.sqrt((cluster_sums**2).sum(axis=0) / n**2)
+    if np.any(se <= 0.0) or not np.all(np.isfinite(se)):
+        raise ZeroVarianceError("the replicates have a degenerate standard error")
+    out = np.empty((n_draws, m))
     for b in range(n_draws):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         )
-        weights = rng.integers(0, 2, size=n_clusters) * 2 - 1
-        weighted = residuals * weights[inverse, None]
-        estimate = weighted.mean(axis=0)
-        cluster_sums = np.zeros((n_clusters, m))
-        np.add.at(cluster_sums, inverse, weighted)
-        variance = (cluster_sums**2).sum(axis=0) / n**2
-        se = np.sqrt(variance)
-        if np.any(se <= 0.0) or not np.all(np.isfinite(se)):
-            raise ZeroVarianceError(
-                f"replicate {b} produced a degenerate standard error"
-            )
-        out[b] = estimate / se
+        out[b] = (rng.integers(0, 2, size=n_clusters) * 2 - 1) @ cluster_sums
+    out /= n
+    out /= se
     return out
 
 

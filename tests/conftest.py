@@ -1,6 +1,19 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from condinfer.testing import ThresholdSpec
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench_module(name):
+    """Import ``bench/<name>.py`` of this checkout (the bench is no package)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_correlation(m, rng):
@@ -10,12 +23,20 @@ def random_correlation(m, rng):
     return c / np.outer(d, d)
 
 
-def random_spec(m, rng, families=("holm", "bonferroni", "sidak_holm", "bh", "by", "fixed")):
+def random_spec(
+    m,
+    rng,
+    families=("holm", "bonferroni", "sidak_holm", "bh", "by", "fixed"),
+    sided=None,
+    procedure=None,
+):
+    """A random spec; ``sided`` and, for ``fixed``, ``procedure`` are drawn
+    unless given."""
     family = families[int(rng.integers(len(families)))]
-    sided = ["one", "two"][int(rng.integers(2))]
+    sided = sided or ["one", "two"][int(rng.integers(2))]
     level = float(rng.uniform(0.05, 0.2))
     if family == "fixed":
-        procedure = ["step_down", "step_up"][int(rng.integers(2))]
+        procedure = procedure or ["step_down", "step_up"][int(rng.integers(2))]
         base = np.sort(rng.uniform(0.8, 3.0, size=m))
         table = tuple(base[::-1]) if procedure == "step_down" else tuple(base)
         return ThresholdSpec("fixed", level, m, sided, table=table, procedure=procedure)

@@ -66,7 +66,7 @@ def check(criterion: str, label: str, value, lo, hi) -> None:
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: sweep equals oracle on 500 randomized instances
+# criterion 1: support equals oracle on 500 randomized instances
 # ---------------------------------------------------------------------------
 
 

@@ -148,6 +148,26 @@ def test_per_effect_failure_does_not_abort_others():
     assert good.ci_lo <= good.estimate_ub <= good.ci_hi
 
 
+def test_boundary_statistic_is_flagged_not_raised():
+    # a statistic exactly at its critical value sits on the closed support's
+    # endpoint, where the truncated CDF cannot be inverted
+    e = EffectEstimates(np.array([2.0, 0.5]), np.eye(2))
+    spec = ThresholdSpec("fixed", 0.1, 2, "one", table=(2.0, 1.0))
+    (r,) = infer_significant(e, spec)
+    assert r.flags == ("boundary",)
+    assert r.error.startswith("BoundaryStatisticError")
+    assert r.support.intervals == ((2.0, INF),)
+    assert math.isnan(r.estimate_ub) and math.isnan(r.ci_lo)
+    # the other selected effects are still returned
+    e = EffectEstimates(np.array([2.0, 0.5, 4.0]), np.eye(3))
+    spec = ThresholdSpec("fixed", 0.1, 3, "one", table=(3.0, 2.0, 1.0))
+    edge, good = infer_significant(e, spec)
+    assert (edge.s, edge.flags) == (0, ("boundary",))
+    assert good.s == 2 and good.error is None and good.flags == ()
+    assert good.support.intervals == ((3.0, INF),)
+    assert good.ci_lo < good.estimate_ub < good.ci_hi
+
+
 def test_large_t_falls_back_to_unconditional():
     e = EffectEstimates(np.array([40.0]), np.array([[1.0]]))
     spec = ThresholdSpec("holm", 0.1, 1, "two")

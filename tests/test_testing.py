@@ -126,6 +126,27 @@ def test_threshold_monotone_over_subset_chains():
             assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+def test_steps_are_computed_once_and_read_only():
+    spec = ThresholdSpec("holm", 0.1, 6, "two")
+    steps = spec.steps
+    assert spec.steps is steps and thresholds_by_step(spec) is steps
+    assert not steps.flags.writeable
+    for j in range(1, 7):
+        assert steps[j - 1] == threshold_value(spec, range(j - 1, 6))
+    assert ThresholdSpec("bootstrap", 0.1, 2, draws=np.eye(2)).steps is None
+    # a step without a positive threshold raises where it is needed
+    spec = ThresholdSpec("holm", 0.6, 2, "one")
+    assert math.isnan(spec.steps[1])
+    with pytest.raises(ValueError):
+        thresholds_by_step(spec)
+    with pytest.raises(ValueError):
+        step_down_select([3.0, 3.0], spec)
+    assert step_down_select([0.1, 0.1], spec).significant == ()  # stops before it
+    with pytest.raises(ValueError):
+        step_up_select([3.0, 3.0], ThresholdSpec("bh", 0.6, 2, "one"))
+    assert step_down_select([3.0, 0.1], ThresholdSpec("holm", 0.6, 2, "two")).significant == (0,)
+
+
 def test_step_up_thresholds_ascending():
     for family in ("bh", "by"):
         spec = ThresholdSpec(family, 0.1, 8, "two")
@@ -155,6 +176,13 @@ def test_spec_validation():
         ThresholdSpec("bootstrap", 0.1, 3, draws=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         ThresholdSpec("fixed", 0.1, 3, table=(1.0, 2.0))
+    # step-down tables must be non-increasing, step-up tables non-decreasing
+    with pytest.raises(ValueError):
+        ThresholdSpec("fixed", 0.1, 2, "one", table=(1.0, 2.0))
+    with pytest.raises(ValueError):
+        ThresholdSpec("fixed", 0.1, 2, "one", table=(2.0, 1.0), procedure=STEP_UP)
+    ThresholdSpec("fixed", 0.1, 3, "one", table=(2.0, 2.0, 1.0))
+    ThresholdSpec("fixed", 0.1, 3, "one", table=(1.0, 2.0, 2.0), procedure=STEP_UP)
     with pytest.raises(ValueError):
         ThresholdSpec("bh", 0.1, 3, procedure=STEP_DOWN)
     assert ThresholdSpec("bh", 0.1, 3).procedure == STEP_UP
@@ -338,6 +366,26 @@ def test_wild_bootstrap_single_cluster_sign_algebra():
         assert np.allclose(estimates[b], col_mean) or np.allclose(
             estimates[b], -col_mean
         )
+
+
+def test_wild_bootstrap_matches_per_replicate_formula():
+    # replicate b: weighted column means over the cluster-robust standard
+    # error of the weighted residuals, with weights from (seed, b) alone
+    rng = np.random.default_rng(5)
+    residuals = rng.standard_normal((40, 3))
+    clusters = rng.integers(0, 7, size=40)
+    draws = wild_bootstrap_draws(residuals, clusters, 6, seed=11)
+    _, inverse = np.unique(clusters, return_inverse=True)
+    for b in range(6):
+        gen = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=11, spawn_key=(b,)))
+        )
+        weights = gen.integers(0, 2, size=inverse.max() + 1) * 2 - 1
+        weighted = residuals * weights[inverse, None]
+        sums = np.zeros((inverse.max() + 1, 3))
+        np.add.at(sums, inverse, weighted)
+        se = np.sqrt((sums**2).sum(axis=0)) / 40
+        np.testing.assert_allclose(draws[b], weighted.mean(axis=0) / se, rtol=1e-12, atol=1e-14)
 
 
 def test_wild_bootstrap_zero_residuals_error():
