@@ -26,7 +26,6 @@ from .sim import (
 )
 from .stats_core import (
     BoundaryStatisticError,
-    BracketFailureError,
     DegenerateSupportError,
     IntervalUnion,
     TruncatedGaussian,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryStatisticError",
-    "BracketFailureError",
     "ConditionalInference",
     "Decomposition",
     "DegenerateSupportError",

@@ -23,12 +23,8 @@ from .inference import (
     infer_significant,
     studentize,
 )
-from .sim import DesignConfig, SimulationSummary, csv_header, csv_row, format_table, simulate_design
-from .stats_core import (
-    BracketFailureError,
-    DegenerateSupportError,
-    IntervalUnion,
-)
+from .sim import DesignConfig, csv_header, csv_row, format_table, simulate_design, summary_dict
+from .stats_core import DegenerateSupportError, IntervalUnion
 from .support import InconsistentEventError
 from .testing import (
     ThresholdSpec,
@@ -41,7 +37,6 @@ SCHEMA_VERSION = "1"
 _ERROR_CODES = (
     (InconsistentEventError, "E_INCONSISTENT_EVENT"),
     (DegenerateSupportError, "E_DEGENERATE"),
-    (BracketFailureError, "E_NUMERIC"),
     (FileNotFoundError, "E_IO"),
     (ValueError, "E_INVALID"),
 )
@@ -251,34 +246,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summary_dict(summary: SimulationSummary) -> dict:
-    cfg = summary.config
-    return {
-        "design": cfg.design,
-        "n": cfg.n,
-        "reps": summary.reps,
-        "seed": cfg.seed,
-        "theta": list(cfg.theta),
-        "rho": cfg.rho,
-        "sided": cfg.sided,
-        "fwer": cfg.fwer,
-        "alpha": cfg.alpha,
-        "event": cfg.event,
-        "target": cfg.target,
-        "reps_selected": summary.reps_selected,
-        "failures": summary.failures,
-        "sel_prob": summary.sel_prob,
-        "coverage_cond": summary.coverage_cond,
-        "coverage_naive": summary.coverage_naive,
-        "coverage_bonf": summary.coverage_bonf,
-        "median_length_cond": summary.median_length_cond,
-        "median_length_naive": summary.median_length_naive,
-        "median_length_bonf": summary.median_length_bonf,
-        "median_bias_cond": summary.median_bias_cond,
-        "median_bias_naive": summary.median_bias_naive,
-    }
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = DesignConfig(
         design=args.design,
@@ -291,24 +258,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         event=args.event,
     )
     summary = simulate_design(cfg)
+    record = summary_dict(summary)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": _resolved_config(
-            args,
-            {
-                "design": cfg.design,
-                "n": cfg.n,
-                "reps": summary.reps,
-                "seed": cfg.seed,
-                "theta": list(cfg.theta),
-                "rho": cfg.rho,
-                "fwer": cfg.fwer,
-                "alpha": cfg.alpha,
-                "event": cfg.event,
-                "target": cfg.target,
-            },
-        ),
-        "summary": _summary_dict(summary),
+        "config": _resolved_config(args, {k: record[k] for k in vars(cfg)}),
+        "summary": record,
     }
     if args.csv:
         with open(args.csv, "a", encoding="utf-8", newline="\n") as fh:

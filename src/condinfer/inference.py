@@ -17,7 +17,6 @@ import numpy as np
 
 from .stats_core import (
     BoundaryStatisticError,
-    BracketFailureError,
     DegenerateSupportError,
     IntervalUnion,
     invert_truncated_mu,
@@ -29,19 +28,21 @@ from .support import (
     conditional_support,
     decompose,
 )
-from .testing import SelectionOutcome, ThresholdSpec, select
-
-#: Beyond this t-statistic the normal CDF underflows and the conditional
-#: interval is numerically indistinguishable from the unconditional one, so
-#: inference falls back to the latter with a diagnostic flag.
-LARGE_T = 37.0
+from .testing import ThresholdSpec, select
 
 _WORKERS_ENV = "CONDINFER_WORKERS"
 
 
 @dataclass(eq=False)
 class EffectEstimates:
-    """Estimated effects with their covariance matrix, the raw input."""
+    """Estimated effects with their covariance matrix, the raw input.
+
+    ``theta_hat`` is a length-m vector and ``cov`` its m x m covariance.
+    Both may carry the same leading batch axes, one problem per index, so
+    a block of Monte Carlo replications is validated and studentized in one
+    call; :func:`infer_significant` and :func:`unconditional_ci` take a
+    single problem.
+    """
 
     theta_hat: np.ndarray
     cov: np.ndarray
@@ -50,10 +51,10 @@ class EffectEstimates:
     def __post_init__(self) -> None:
         self.theta_hat = np.asarray(self.theta_hat, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        m = self.theta_hat.shape[0]
-        if self.theta_hat.ndim != 1:
+        if self.theta_hat.ndim < 1:
             raise ValueError("theta_hat must be a vector")
-        if self.cov.shape != (m, m):
+        m = self.theta_hat.shape[-1]
+        if self.cov.shape != self.theta_hat.shape + (m,):
             raise ValueError(
                 f"cov must be {m} x {m}, got shape {self.cov.shape}"
             )
@@ -61,14 +62,15 @@ class EffectEstimates:
             np.isfinite(self.cov)
         ):
             raise ValueError("estimates and covariance must be finite")
-        scale = max(1.0, float(np.abs(self.cov).max()))
-        if np.abs(self.cov - self.cov.T).max() > 1e-10 * scale:
+        scale = np.maximum(1.0, np.abs(self.cov).max(axis=(-2, -1)))
+        asymmetry = np.abs(self.cov - np.swapaxes(self.cov, -2, -1)).max(axis=(-2, -1))
+        if np.any(asymmetry > 1e-10 * scale):
             raise ValueError("cov must be symmetric")
-        diag = np.diag(self.cov)
+        diag = np.diagonal(self.cov, axis1=-2, axis2=-1)
         if np.any(diag <= 0.0):
             raise ValueError("cov must have a strictly positive diagonal")
         sd = np.sqrt(diag)
-        corr = self.cov / np.outer(sd, sd)
+        corr = self.cov / (sd[..., :, None] * sd[..., None, :])
         if np.abs(corr).max() > 1.0 + 1e-8:
             raise ValueError("cov implies correlations outside [-1, 1]")
         if self.labels is not None and len(self.labels) != m:
@@ -76,18 +78,20 @@ class EffectEstimates:
 
     @property
     def m(self) -> int:
-        return self.theta_hat.shape[0]
+        return self.theta_hat.shape[-1]
 
 
 def studentize(
     estimates: EffectEstimates,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t-statistics, correlation matrix, and standard deviations."""
-    sd = np.sqrt(np.diag(estimates.cov))
+    """t-statistics, correlation matrix, and standard deviations (stacked
+    like the estimates)."""
+    sd = np.sqrt(np.diagonal(estimates.cov, axis1=-2, axis2=-1))
     x = estimates.theta_hat / sd
-    omega = estimates.cov / np.outer(sd, sd)
-    omega = 0.5 * (omega + omega.T)
-    np.fill_diagonal(omega, 1.0)
+    omega = estimates.cov / (sd[..., :, None] * sd[..., None, :])
+    omega = 0.5 * (omega + np.swapaxes(omega, -2, -1))
+    diagonal = np.arange(estimates.m)
+    omega[..., diagonal, diagonal] = 1.0
     omega = np.clip(omega, -1.0, 1.0)
     return x, omega, sd
 
@@ -131,6 +135,14 @@ class ConditionalInference:
     error: str | None = None
 
 
+def _selected_support(
+    x: np.ndarray, omega: np.ndarray, s: int, spec: ThresholdSpec, event: SelectionEvent
+) -> tuple[float, IntervalUnion]:
+    """The statistic of effect s and its support given the event."""
+    d = decompose(x, omega, s)
+    return d.x_s, conditional_support(d, spec, event)
+
+
 def _infer_one(
     s: int,
     x: np.ndarray,
@@ -152,41 +164,17 @@ def _infer_one(
         event=event,
         label=label,
     )
-    d = decompose(x, omega, s)
     support = None
     try:
-        support = conditional_support(d, spec, event)
-        if abs(d.x_s) > LARGE_T:
-            half = sd[s] * normal_quantile(1.0 - alpha_eff / 2.0)
-            est = float(sd[s] * d.x_s)
-            return ConditionalInference(
-                estimate_ub=est,
-                ci_lo=est - half,
-                ci_hi=est + half,
-                support=support,
-                flags=("unconditional_fallback",),
-                **base,
-            )
-        mu_lo = invert_truncated_mu(d.x_s, support, 1.0 - alpha_eff / 2.0)
-        mu_ub = invert_truncated_mu(d.x_s, support, 0.5)
-        mu_hi = invert_truncated_mu(d.x_s, support, alpha_eff / 2.0)
+        x_s, support = _selected_support(x, omega, s, spec, event)
+        mu_lo, mu_ub, mu_hi = invert_truncated_mu(
+            x_s, support, (1.0 - alpha_eff / 2.0, 0.5, alpha_eff / 2.0)
+        )
     except (
         DegenerateSupportError,
-        BracketFailureError,
         InconsistentEventError,
         BoundaryStatisticError,
     ) as exc:
-        if abs(d.x_s) > LARGE_T:
-            half = sd[s] * normal_quantile(1.0 - alpha_eff / 2.0)
-            est = float(sd[s] * d.x_s)
-            return ConditionalInference(
-                estimate_ub=est,
-                ci_lo=est - half,
-                ci_hi=est + half,
-                support=support,
-                flags=("unconditional_fallback",),
-                **base,
-            )
         return ConditionalInference(
             estimate_ub=math.nan,
             ci_lo=math.nan,
@@ -215,7 +203,6 @@ def infer_significant(
     joint: bool = False,
     *,
     workers: int | None = None,
-    outcome: SelectionOutcome | None = None,
 ) -> list[ConditionalInference]:
     """Selection-corrected inference for every significant effect.
 
@@ -232,9 +219,7 @@ def infer_significant(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     x, omega, sd = studentize(estimates)
-    if outcome is None:
-        outcome = select(x, spec)
-    selected = sorted(outcome.significant_set)
+    selected = sorted(select(x, spec).significant_set)
     if not selected:
         return []
     alpha_eff = alpha / len(selected) if joint else alpha

@@ -10,15 +10,22 @@ Bonferroni-adjusted intervals for it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .inference import EffectEstimates, _infer_one, studentize, unconditional_ci
-from .support import SelectionEvent
-from .testing import ThresholdSpec, step_down_select
+from .inference import EffectEstimates, _selected_support, studentize
+from .stats_core import _SOLVED, DegenerateSupportError, _invert_batch, normal_quantile
+from .support import InconsistentEventError, SelectionEvent
+
+# step_down_select stays importable here for tools that wrap it by this name
+from .testing import ThresholdSpec, _batch_membership, step_down_select  # noqa: F401
+
+#: Replications whose samples are held in memory at once.
+_CHUNK = 64
 
 DEFAULT_THETA = (0.05, 0.03, 0.01, 0.0, 0.0)
 
@@ -94,7 +101,11 @@ class RepRecord:
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """Aggregates in the layout of the coverage tables."""
+    """Aggregates in the layout of the coverage tables.
+
+    ``sel_prob_se`` and ``coverage_cond_se`` are Monte Carlo standard errors,
+    sqrt(p (1 - p) / k) over the k replications each proportion averages.
+    """
 
     config: DesignConfig
     reps: int
@@ -109,6 +120,8 @@ class SimulationSummary:
     median_length_bonf: float | None
     median_bias_cond: float | None
     median_bias_naive: float | None
+    sel_prob_se: float
+    coverage_cond_se: float | None
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -125,63 +138,6 @@ def _equicorr_cholesky(m: int, rho: float) -> np.ndarray:
     return np.linalg.cholesky(matrix)
 
 
-def _draw_sample(cfg: DesignConfig, rng: np.random.Generator, chol: np.ndarray):
-    z = rng.standard_normal((cfg.n, cfg.m))
-    latent = z @ chol.T
-    if cfg.design == "normal":
-        return latent + np.asarray(cfg.theta)
-    return (latent**2 - 1.0) / math.sqrt(2.0) + np.asarray(cfg.theta)
-
-
-def run_replication(
-    cfg: DesignConfig, rep: int, chol: np.ndarray, spec: ThresholdSpec
-) -> RepRecord:
-    rng = _rep_rng(cfg.seed, rep)
-    sample = _draw_sample(cfg, rng, chol)
-    theta_hat = sample.mean(axis=0)
-    cov_hat = np.cov(sample, rowvar=False, ddof=1) / cfg.n
-    estimates = EffectEstimates(theta_hat, cov_hat)
-    x, omega, sd = studentize(estimates)
-    outcome = step_down_select(x, spec)
-    sig = outcome.significant_set
-    if cfg.target not in sig:
-        return RepRecord(selected=False)
-
-    truth = cfg.theta[cfg.target]
-    naive_lo, naive_hi = unconditional_ci(estimates, cfg.target, cfg.alpha)
-    bonf_lo, bonf_hi = unconditional_ci(estimates, cfg.target, cfg.alpha / cfg.m)
-    event = (
-        SelectionEvent.superset([cfg.target])
-        if cfg.event == "superset"
-        else SelectionEvent.equal(sig)
-    )
-    naive_est = float(theta_hat[cfg.target])
-    result = _infer_one(
-        cfg.target,
-        x,
-        omega,
-        sd,
-        spec,
-        event,
-        cfg.alpha,
-        (naive_est, naive_lo, naive_hi),
-        None,
-    )
-    if result.error is not None:
-        return RepRecord(selected=True, failed=True)
-    return RepRecord(
-        selected=True,
-        cond_covered=bool(result.ci_lo <= truth <= result.ci_hi),
-        naive_covered=bool(naive_lo <= truth <= naive_hi),
-        bonf_covered=bool(bonf_lo <= truth <= bonf_hi),
-        cond_length=float(result.ci_hi - result.ci_lo),
-        naive_length=float(naive_hi - naive_lo),
-        bonf_length=float(bonf_hi - bonf_lo),
-        cond_bias=float(result.estimate_ub - truth),
-        naive_bias=float(naive_est - truth),
-    )
-
-
 def _lower_median(values: Sequence[float]) -> float | None:
     if not values:
         return None
@@ -193,6 +149,10 @@ def _fraction(flags: Sequence[bool]) -> float | None:
     if not flags:
         return None
     return sum(flags) / len(flags)
+
+
+def _standard_error(fraction: float | None, count: int) -> float | None:
+    return None if fraction is None else math.sqrt(fraction * (1.0 - fraction) / count)
 
 
 def summarize(cfg: DesignConfig, records: Sequence[RepRecord]) -> SimulationSummary:
@@ -207,13 +167,15 @@ def summarize(cfg: DesignConfig, records: Sequence[RepRecord]) -> SimulationSumm
     n_selected = sum(r.selected for r in records)
     usable = [r for r in records if r.selected and not r.failed]
     failures = sum(r.failed for r in records)
+    sel_prob = n_selected / len(records)
+    coverage_cond = _fraction([r.cond_covered for r in usable])
     return SimulationSummary(
         config=cfg,
         reps=len(records),
         reps_selected=n_selected,
         failures=failures,
-        sel_prob=n_selected / len(records),
-        coverage_cond=_fraction([r.cond_covered for r in usable]),
+        sel_prob=sel_prob,
+        coverage_cond=coverage_cond,
         coverage_naive=_fraction([r.naive_covered for r in usable]),
         coverage_bonf=_fraction([r.bonf_covered for r in usable]),
         median_length_cond=_lower_median([r.cond_length for r in usable]),
@@ -221,17 +183,101 @@ def summarize(cfg: DesignConfig, records: Sequence[RepRecord]) -> SimulationSumm
         median_length_bonf=_lower_median([r.bonf_length for r in usable]),
         median_bias_cond=_lower_median([r.cond_bias for r in usable]),
         median_bias_naive=_lower_median([r.naive_bias for r in usable]),
+        sel_prob_se=_standard_error(sel_prob, len(records)),
+        coverage_cond_se=_standard_error(coverage_cond, len(usable)),
     )
 
 
+def _block_estimates(cfg: DesignConfig, chol: np.ndarray) -> EffectEstimates:
+    """Sample means and their estimated covariance for every replication.
+
+    Replication r draws its n x m standard normals from its own stream
+    keyed by (seed, r); samples are held ``_CHUNK`` replications at a time.
+    """
+    reps, n, m = cfg.resolved_reps, cfg.n, cfg.m
+    theta_hat = np.empty((reps, m))
+    cov = np.empty((reps, m, m))
+    buffer = np.empty((min(reps, _CHUNK), n, m))
+    for start in range(0, reps, _CHUNK):
+        z = buffer[: min(reps - start, _CHUNK)]
+        for k in range(z.shape[0]):
+            _rep_rng(cfg.seed, start + k).standard_normal(out=z[k])
+        block = slice(start, start + z.shape[0])
+        # one m x n sample per replication, observations along the last axis
+        sample = chol @ np.swapaxes(z, 1, 2)
+        if cfg.design == "chisq":
+            sample = (sample**2 - 1.0) / math.sqrt(2.0)
+        sample += np.asarray(cfg.theta)[:, None]
+        theta_hat[block] = sample.mean(axis=2)
+        sample -= theta_hat[block, :, None]
+        cov[block] = sample @ np.swapaxes(sample, 1, 2) / ((n - 1) * n)
+    return EffectEstimates(theta_hat, cov)
+
+
 def simulate_design(cfg: DesignConfig) -> SimulationSummary:
-    """Run every replication of a configuration and aggregate."""
+    """Run every replication of a configuration as one batch and aggregate.
+
+    Estimates are validated and studentized together and Holm selection
+    runs on all replications at once; supports are built only where the
+    target is selected, and all their endpoints (p = 1 - alpha/2, 1/2,
+    alpha/2) are solved in one call of the inversion kernel.  Streams are
+    keyed by (seed, replication), so the result equals a one-at-a-time run.
+    A replication whose support or inversion fails is counted in ``failures``.
+    """
     spec = ThresholdSpec(family="holm", level=cfg.fwer, m=cfg.m, sided=cfg.sided)
     chol = _equicorr_cholesky(
         cfg.m, cfg.rho if cfg.design == "normal" else math.sqrt(cfg.rho)
     )
-    records = [
-        run_replication(cfg, rep, chol, spec) for rep in range(cfg.resolved_reps)
+    estimates = _block_estimates(cfg, chol)
+    x, omega, sd = studentize(estimates)
+    member = _batch_membership(x.T, spec)
+    t = cfg.target
+    selected = np.flatnonzero(member[t])
+
+    solved, x_s, supports = [], [], []
+    for r in selected:
+        event = (
+            SelectionEvent.superset([t])
+            if cfg.event == "superset"
+            else SelectionEvent.equal(np.flatnonzero(member[:, r]))
+        )
+        try:
+            stat, support = _selected_support(x[r], omega[r], t, spec, event)
+        except (DegenerateSupportError, InconsistentEventError):
+            continue
+        solved.append(r)
+        x_s.append(stat)
+        supports.append(support.intervals)
+    width = max((len(ends) for ends in supports), default=1)
+    # one row per (replication, target), padded with empty intervals
+    bounds = np.zeros((len(supports), 2, width))
+    for i, ends in enumerate(supports):
+        bounds[i, :, : len(ends)] = np.array(ends).T
+    bounds = np.repeat(bounds, 3, axis=0)
+    targets = np.tile([1.0 - cfg.alpha / 2.0, 0.5, cfg.alpha / 2.0], len(supports))
+    mu, code = _invert_batch(np.repeat(x_s, 3), bounds[:, 0], bounds[:, 1], targets)
+    mu = mu.reshape(-1, 3) * sd[solved, t][:, None]
+    ok = (code.reshape(-1, 3) == _SOLVED).all(axis=1)
+
+    truth = cfg.theta[t]
+    rows = np.array(solved, dtype=int)[ok]
+    center, scale = estimates.theta_hat[rows, t], sd[rows, t]
+    naive = scale * normal_quantile(1.0 - cfg.alpha / 2.0)
+    bonf = scale * normal_quantile(1.0 - cfg.alpha / cfg.m / 2.0)
+    ci_lo, estimate, ci_hi = mu[ok].T
+    columns = {"cond_bias": estimate - truth, "naive_bias": center - truth}
+    for name, lo, hi in (
+        ("cond", ci_lo, ci_hi),
+        ("naive", center - naive, center + naive),
+        ("bonf", center - bonf, center + bonf),
+    ):
+        columns[f"{name}_covered"] = (lo <= truth) & (truth <= hi)
+        columns[f"{name}_length"] = hi - lo
+    records = [RepRecord(selected=False)] * (cfg.resolved_reps - len(selected))
+    records += [RepRecord(selected=True, failed=True)] * (len(selected) - len(rows))
+    records += [
+        RepRecord(selected=True, **dict(zip(columns, values)))
+        for values in zip(*(column.tolist() for column in columns.values()))
     ]
     return summarize(cfg, records)
 
@@ -242,23 +288,17 @@ def _fmt(value: float | None, digits: int = 3) -> str:
     return f"{value:.{digits}f}"
 
 
-CSV_FIELDS = (
-    "design",
-    "n",
-    "sided",
-    "event",
-    "reps",
-    "reps_selected",
-    "failures",
-    "sel_prob",
-    "coverage_cond",
-    "coverage_naive",
-    "coverage_bonf",
-    "median_length_cond",
-    "median_length_naive",
-    "median_length_bonf",
-    "median_bias_cond",
-    "median_bias_naive",
+def summary_dict(summary: SimulationSummary) -> dict:
+    """The summary as one flat mapping: the configuration's fields, then the
+    aggregates in field order (``reps`` is the resolved count)."""
+    fields = dataclasses.asdict(summary)
+    return {**fields.pop("config"), **fields}
+
+
+#: Columns of :func:`csv_row`: four configuration fields, then every
+#: aggregate of :class:`SimulationSummary`.
+CSV_FIELDS = ("design", "n", "sided", "event") + tuple(
+    f.name for f in dataclasses.fields(SimulationSummary) if f.name != "config"
 )
 
 
@@ -267,26 +307,11 @@ def csv_header() -> str:
 
 
 def csv_row(summary: SimulationSummary) -> str:
-    cfg = summary.config
-    values = [
-        cfg.design,
-        cfg.n,
-        cfg.sided,
-        cfg.event,
-        summary.reps,
-        summary.reps_selected,
-        summary.failures,
-        summary.sel_prob,
-        summary.coverage_cond,
-        summary.coverage_naive,
-        summary.coverage_bonf,
-        summary.median_length_cond,
-        summary.median_length_naive,
-        summary.median_length_bonf,
-        summary.median_bias_cond,
-        summary.median_bias_naive,
-    ]
-    return ",".join("NA" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values)
+    values = summary_dict(summary)
+    return ",".join(
+        "NA" if v is None else repr(v) if isinstance(v, float) else str(v)
+        for v in (values[name] for name in CSV_FIELDS)
+    )
 
 
 def format_table(summaries: Sequence[SimulationSummary]) -> str:

@@ -2,8 +2,12 @@
 
 The inference pipeline reduces to one numeric task: evaluate the CDF of a
 standard Gaussian with shifted mean, truncated to a union of disjoint
-intervals, and invert that CDF in the mean parameter.  Everything here is a
-pure function of its arguments.
+intervals, and invert that CDF in the mean parameter.  The inversion is one
+vectorised log-space kernel over a batch of (statistic, support, target)
+problems, with no cap on how far a root may lie from its statistic (next
+to a support endpoint, thousands of standard deviations is a real answer);
+a problem whose truncated mass vanishes in doubles fails alone.  Everything
+here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.special import log_ndtr, ndtri
 
 _SQRT2 = math.sqrt(2.0)
@@ -19,23 +24,18 @@ _INF = math.inf
 #: Total truncated mass below this floor is treated as numerically zero.
 MASS_FLOOR = 1e-300
 
-#: Initial half-width (in standard deviations) of the mean bracket used by
-#: :func:`invert_truncated_mu`; doubled up to ``_BRACKET_DOUBLINGS`` times.
-BRACKET_SPAN = 40.0
-_BRACKET_DOUBLINGS = 4
-
-#: Convergence tolerances for the mean inversion: absolute on the mean and
-#: on the CDF residual, whichever is met first.
+#: Convergence tolerance of the mean inversion: the final bracket is at most
+#: ``max(MU_TOL, MU_RTOL * |mu|)`` wide.  The relative part only matters
+#: beyond |mu| = 1000, where doubles are too coarse for the absolute one.
 MU_TOL = 1e-10
-CDF_RESIDUAL_TOL = 1e-12
+MU_RTOL = 1e-13
+
+#: Per-problem status codes of :func:`_invert_batch`.
+_SOLVED, _BOUNDARY, _DEGENERATE = 0, 1, 2
 
 
 class DegenerateSupportError(ArithmeticError):
     """The truncated mass underflowed; the mean is unidentifiable in doubles."""
-
-
-class BracketFailureError(ArithmeticError):
-    """Bracket expansion for the mean inversion exceeded its configured span."""
 
 
 class BoundaryStatisticError(ValueError):
@@ -71,14 +71,6 @@ def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires p in (0, 1), got {p!r}")
     return float(ndtri(p))
-
-
-def _log_normal_cdf(x: float) -> float:
-    if x == _INF:
-        return 0.0
-    if x == -_INF:
-        return -_INF
-    return float(log_ndtr(x))
 
 
 @dataclass(frozen=True)
@@ -182,33 +174,6 @@ def _interval_mass(a: float, b: float) -> float:
     return max(mass, 0.0)
 
 
-def _log_interval_mass(a: float, b: float) -> float:
-    """log of :func:`_interval_mass`, stable far into the tails."""
-    if a >= b:
-        return -_INF
-    if a == -_INF and b == _INF:
-        return 0.0
-    if a == -_INF:
-        return _log_normal_cdf(b)
-    if b == _INF:
-        return _log_normal_cdf(-a)
-    if a + b > 0.0:
-        log_hi, log_lo = _log_normal_cdf(-a), _log_normal_cdf(-b)
-    else:
-        log_hi, log_lo = _log_normal_cdf(b), _log_normal_cdf(a)
-    diff = log_lo - log_hi
-    if diff >= 0.0:
-        return -_INF
-    return log_hi + math.log1p(-math.exp(diff))
-
-
-def _logsumexp(values: list[float]) -> float:
-    top = max(values, default=-_INF)
-    if top == -_INF:
-        return -_INF
-    return top + math.log(sum(math.exp(v - top) for v in values))
-
-
 def truncated_cdf(x: float, dist: TruncatedGaussian) -> float:
     """CDF of a truncated Gaussian at ``x``.
 
@@ -233,69 +198,135 @@ def truncated_cdf(x: float, dist: TruncatedGaussian) -> float:
     return min(max(num / den, 0.0), 1.0)
 
 
-def _truncated_cdf_log(x: float, mu: float, support: IntervalUnion) -> float:
-    """Log-space evaluation of the truncated CDF.
+def _log_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise log of the standard normal mass of [a, b], a <= b, as a
+    difference of tail probabilities on the smaller-tail side, so it keeps
+    its relative accuracy far out; an empty piece (a == b) gives -inf."""
+    right = a + b > 0.0
+    upper = np.where(right, -a, b)
+    log_upper = log_ndtr(upper)
+    return log_upper + np.log1p(-np.exp(log_ndtr(np.where(right, -b, a)) - log_upper))
 
-    Used by the mean inversion, where bracket expansion probes means tens of
-    standard deviations away from the support and the direct masses underflow.
+
+def _invert_batch(
+    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``F(x_i; mu_i) = p_i`` for every problem i at once.
+
+    F is the CDF of N(mu, 1) truncated to the union of the intervals
+    [lo_ik, hi_ik] of row i; rows are padded with empty intervals
+    (lo == hi).  With L and U the truncated masses below and above x, the
+    log odds r(mu) = log U - log L increase strictly from -inf to inf, and
+    F = p exactly where r equals log((1 - p) / p).  Each root is bracketed
+    by steps of 1, 2, 4, ... away from x, then refined by Chandrupatla's
+    method (inverse quadratic interpolation where it is safe, bisection
+    otherwise) until the bracket is narrower than ``max(MU_TOL, MU_RTOL *
+    |mu|)`` (mu: the first bracket's end of larger magnitude); the answer is
+    the secant point of the final bracket.  Returns the roots and status
+    codes: a statistic outside the interior of its support (``_BOUNDARY``)
+    or a truncated mass that vanishes in doubles (``_DEGENERATE``) gives NaN
+    for that problem alone.
     """
-    log_num: list[float] = []
-    log_den: list[float] = []
-    for lo, hi in support:
-        log_den.append(_log_interval_mass(lo - mu, hi - mu))
-        if x > lo:
-            log_num.append(_log_interval_mass(lo - mu, min(hi, x) - mu))
-    den = _logsumexp(log_den)
-    if den == -_INF:
-        raise DegenerateSupportError(
-            f"truncated mass vanished in log space at mu={mu!r}"
-        )
-    num = _logsumexp(log_num)
-    if num == -_INF:
-        return 0.0
-    return min(math.exp(num - den), 1.0)
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    cut = np.clip(x[:, None], lo, hi)
+    # below-x and above-x pieces of every interval: shape (problem, 2, k)
+    starts = np.stack((lo, cut), axis=1)
+    ends = np.stack((cut, hi), axis=1)
+    target = np.log1p(-p) - np.log(p)
+    code = np.where(((lo < x[:, None]) & (x[:, None] < hi)).any(axis=1), _SOLVED, _BOUNDARY)
+
+    def g(mu):
+        shift = mu[:, None, None]
+        log_masses = _log_mass(starts - shift, ends - shift)
+        log_below, log_above = np.logaddexp.reduce(log_masses, axis=-1).T
+        return log_above - log_below - target
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # bracket: [a, b] with g(a) and g(b) of opposite signs (or a root)
+        a, fa = x.copy(), g(x)
+        b, fb = a.copy(), fa.copy()
+        code[(code == _SOLVED) & np.isnan(fa)] = _DEGENERATE
+        step = np.where(fa < 0.0, 1.0, -1.0)
+        open_ = (code == _SOLVED) & (fa != 0.0)
+        while open_.any():
+            b = np.where(open_, x + step, b)
+            fb = np.where(open_, g(b), fb)
+            code[open_ & np.isnan(fb)] = _DEGENERATE
+            open_ &= (code == _SOLVED) & (np.sign(fb) == np.sign(fa))
+            a, fa = np.where(open_, b, a), np.where(open_, fb, fa)
+            step = np.where(open_, 2.0 * step, step)
+
+        # Chandrupatla: a is the newest point, b the opposite-sign end, c the
+        # point dropped last; t is the next point's position within [a, b].
+        # A finished problem takes t = 0, which re-evaluates a and keeps its
+        # bracket as it is.
+        c, fc = b, fb
+        t = np.full(x.shape, 0.5)
+        half_tol = 0.5 * np.maximum(MU_TOL, MU_RTOL * np.maximum(np.abs(a), np.abs(b)))
+        active = (code == _SOLVED) & (fa != 0.0) & (fb != 0.0)
+        while True:
+            limit = half_tol / np.abs(b - a)
+            active &= limit < 0.5
+            if not active.any():
+                break
+            t = np.where(active, np.minimum(np.maximum(t, limit), 1.0 - limit), 0.0)
+            xt = a + t * (b - a)
+            ft = g(xt)
+            code[active & np.isnan(ft)] = _DEGENERATE
+            active &= (code == _SOLVED) & (ft != 0.0)
+            same = np.sign(ft) == np.sign(fa)
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            b, fb = np.where(same, b, a), np.where(same, fb, fa)
+            a, fa = xt, ft
+            # inverse quadratic interpolation through a, b and c where the
+            # fit is monotone on the bracket, bisection elsewhere
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            iqi = (phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(
+                iqi,
+                fa / (fb - fa) * fc / (fb - fc)
+                + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb),
+                0.5,
+            )
+
+        secant = a - fa * (b - a) / (fb - fa)
+        root = np.where(np.isfinite(secant), secant, np.where(np.abs(fa) < np.abs(fb), a, b))
+    root[code != _SOLVED] = math.nan
+    return root, code
 
 
-def invert_truncated_mu(x_obs: float, support: IntervalUnion, p: float) -> float:
+def invert_truncated_mu(x_obs: float, support: IntervalUnion, p):
     """Solve ``truncated_cdf(x_obs, (mu, support)) = p`` for the mean.
 
     The truncated CDF is strictly decreasing in ``mu`` with limits 1 and 0
-    as ``mu -> -inf`` and ``mu -> +inf``, so the root is unique.  It is found
-    by bisection on an expanding bracket centred at ``x_obs``; a bracket
-    wider than ``BRACKET_SPAN * 2**_BRACKET_DOUBLINGS`` standard deviations
-    signals a numerically degenerate support.
+    as ``mu -> -inf`` and ``mu -> +inf``, so each root is unique.  ``p`` is
+    one target in (0, 1), giving a float, or a sequence of targets, giving
+    an array of roots; all of them are solved in one call of the batch
+    kernel.  Raises :class:`BoundaryStatisticError` when ``x_obs`` is not in
+    the interior of the support and :class:`DegenerateSupportError` when
+    the truncated mass vanishes in doubles.
     """
-    if not 0.0 < p < 1.0:
+    targets = np.atleast_1d(np.asarray(p, dtype=float))
+    if targets.ndim != 1 or not np.all((targets > 0.0) & (targets < 1.0)):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     if support.is_empty:
         raise ValueError("support must be nonempty")
-    if not support.interior_contains(x_obs):
+    lo, hi = np.array(support.intervals).T
+    n = targets.size
+    roots, code = _invert_batch(
+        np.full(n, float(x_obs)),
+        np.broadcast_to(lo, (n, lo.size)),
+        np.broadcast_to(hi, (n, hi.size)),
+        targets,
+    )
+    if (code == _BOUNDARY).any():
         raise BoundaryStatisticError(
             f"x_obs={x_obs!r} must lie in the interior of the support"
         )
-
-    span = BRACKET_SPAN
-    lo = hi = x_obs
-    for _ in range(_BRACKET_DOUBLINGS + 1):
-        lo, hi = x_obs - span, x_obs + span
-        f_lo = _truncated_cdf_log(x_obs, lo, support)
-        f_hi = _truncated_cdf_log(x_obs, hi, support)
-        if f_lo >= p >= f_hi:
-            break
-        span *= 2.0
-    else:
-        raise BracketFailureError(
-            f"could not bracket the quantile: F({lo})={f_lo!r}, "
-            f"F({hi})={f_hi!r}, target p={p!r}"
+    if (code == _DEGENERATE).any():
+        raise DegenerateSupportError(
+            f"truncated mass vanished in log space for x_obs={x_obs!r}"
         )
-
-    while hi - lo > MU_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = _truncated_cdf_log(x_obs, mid, support)
-        if abs(f_mid - p) <= CDF_RESIDUAL_TOL:
-            return mid
-        if f_mid > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(roots[0]) if np.ndim(p) == 0 else roots

@@ -2,6 +2,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from condinfer.testing import ThresholdSpec
 
@@ -60,3 +61,33 @@ def random_selected_instance(rng, m_lo=2, m_hi=8, families=None):
         outcome = ci.select(x, spec)
         if outcome.significant_set:
             return x, omega, spec, outcome
+
+
+def mp_truncated_root(x, intervals, p):
+    """Mean at which the truncated CDF of x equals p, by bisection on a
+    60-digit mpmath evaluation; the bracket doubles away from x."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        x, p = mp.mpf(x), mp.mpf(p)
+        ends = [(mp.mpf(lo), mp.mpf(hi)) for lo, hi in intervals]
+
+        def mass(a, b):
+            # the smaller-tail side keeps its digits far out
+            if a + b < 0:
+                return mp.ncdf(b) - mp.ncdf(a)
+            return mp.ncdf(-a) - mp.ncdf(-b)
+
+        def cdf(mu):
+            total = sum(mass(lo - mu, hi - mu) for lo, hi in ends)
+            below = sum(mass(lo - mu, min(hi, x) - mu) for lo, hi in ends if lo < x)
+            return below / total
+
+        step = 1 if cdf(x) > p else -1
+        near, far = x, x + step
+        while (cdf(far) > p) == (step > 0):
+            near, far, step = far, far + 2 * step, 2 * step
+        lo, hi = min(near, far), max(near, far)
+        while hi - lo > mp.mpf(10) ** -30 * (1 + abs(lo)):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if cdf(mid) > p else (lo, mid)
+        return float((lo + hi) / 2)

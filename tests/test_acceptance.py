@@ -30,7 +30,6 @@ from condinfer.inference import EffectEstimates, infer_significant
 from condinfer.sim import DesignConfig, simulate_design
 from condinfer.stats_core import (
     MU_TOL,
-    BracketFailureError,
     IntervalUnion,
     TruncatedGaussian,
     invert_truncated_mu,
@@ -140,13 +139,9 @@ def known_v_study():
         d = decompose(draws[r], omega, 0)
         support = conditional_support(d, spec, event)
         transforms.append(truncated_cdf(d.x_s, TruncatedGaussian(mu[0], support)))
-        try:
-            lo = invert_truncated_mu(d.x_s, support, 0.95)
-            ub = invert_truncated_mu(d.x_s, support, 0.5)
-            hi = invert_truncated_mu(d.x_s, support, 0.05)
-        except BracketFailureError:
-            failures += 1
-            continue
+        lo = invert_truncated_mu(d.x_s, support, 0.95)
+        ub = invert_truncated_mu(d.x_s, support, 0.5)
+        hi = invert_truncated_mu(d.x_s, support, 0.05)
         covered.append(lo <= mu[0] <= hi)
         above.append(ub >= mu[0])
     return {

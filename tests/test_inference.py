@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mp_truncated_root
 from condinfer.inference import (
     EffectEstimates,
     infer_significant,
@@ -12,6 +13,7 @@ from condinfer.inference import (
     unconditional_ci,
 )
 from condinfer.stats_core import (
+    MU_TOL,
     IntervalUnion,
     TruncatedGaussian,
     invert_truncated_mu,
@@ -125,15 +127,13 @@ def test_event_kinds_recorded():
 
 
 def test_per_effect_failure_does_not_abort_others():
-    # effect 0 sits essentially on its one-sided selection boundary while a
-    # correlated insignificant effect caps its support from above, so the
-    # p = 0.99 endpoint lies beyond the bracket span and is reported as an
+    # effect 0 sits exactly on its one-sided critical value, an endpoint of
+    # its closed support, so it cannot be inverted and is reported as an
     # error; effect 2 is unaffected
     c = normal_quantile(0.95)
     omega = np.eye(3)
     omega[0, 1] = omega[1, 0] = 0.9
-    x0 = c + 5e-4
-    e = EffectEstimates(np.array([x0, 0.9 * x0 - 1e-4, 6.0]), omega)
+    e = EffectEstimates(np.array([c, 0.9 * c - 1e-4, 6.0]), omega)
     spec = ThresholdSpec("fixed", 0.1, 3, "one", table=(c, c, c))
     results = infer_significant(e, spec, event_kind="equal", alpha=0.02)
     assert len(results) == 2
@@ -141,7 +141,7 @@ def test_per_effect_failure_does_not_abort_others():
     assert failed.s == 0
     assert failed.error is not None
     assert math.isnan(failed.estimate_ub)
-    assert "degenerate" in failed.flags
+    assert "boundary" in failed.flags
     assert not math.isnan(failed.naive_estimate)
     assert good.s == 2
     assert good.error is None
@@ -169,14 +169,39 @@ def test_boundary_statistic_is_flagged_not_raised():
 
 
 def test_large_t_falls_back_to_unconditional():
+    # at t = 40 the two-tail support holds all but a negligible share of the
+    # mass near the mean, so the exact conditional interval is the
+    # unconditional one up to the inversion tolerance; no flag is set
     e = EffectEstimates(np.array([40.0]), np.array([[1.0]]))
     spec = ThresholdSpec("holm", 0.1, 1, "two")
     (r,) = infer_significant(e, spec, alpha=0.1)
-    assert r.flags == ("unconditional_fallback",)
+    assert r.flags == () and r.error is None
+    assert len(r.support) == 2
     lo, hi = unconditional_ci(e, 0, 0.1)
-    assert r.ci_lo == pytest.approx(lo, abs=1e-12)
-    assert r.ci_hi == pytest.approx(hi, abs=1e-12)
-    assert r.estimate_ub == pytest.approx(40.0)
+    assert r.ci_lo == pytest.approx(lo, abs=MU_TOL)
+    assert r.ci_hi == pytest.approx(hi, abs=MU_TOL)
+    assert r.estimate_ub == pytest.approx(40.0, abs=MU_TOL)
+
+
+def test_large_t_near_a_correlated_threshold_is_exact():
+    # t = 37.5 with a 0.99-correlated insignificant effect: the support is
+    # one bounded interval [34.83, 38.15] just above the statistic, and the
+    # exact conditional interval reaches 3 standard deviations past the
+    # unconditional one.  The reference is a 60-digit mpmath bisection.
+    omega = np.array([[1.0, 0.99], [0.99, 1.0]])
+    e = EffectEstimates(np.array([37.5, 1.0]), omega)
+    spec = ThresholdSpec("holm", 0.1, 2, "two")
+    (r,) = infer_significant(e, spec, event_kind="equal", alpha=0.1)
+    assert r.s == 0 and r.flags == () and r.error is None
+    ((lo, hi),) = r.support.intervals
+    assert lo == pytest.approx(34.8284, abs=1e-4)
+    assert hi == pytest.approx(38.1514, abs=1e-4)
+    for p, value in ((0.95, r.ci_lo), (0.5, r.estimate_ub), (0.05, r.ci_hi)):
+        assert value == pytest.approx(mp_truncated_root(37.5, r.support, p), abs=1e-9)
+    assert (r.ci_lo, r.estimate_ub, r.ci_hi) == pytest.approx(
+        (35.8953, 38.2133, 42.2159), abs=1e-4
+    )
+    assert r.ci_hi > r.naive_ci_hi + 3.0
 
 
 def test_results_in_effect_index_order_and_scaled():

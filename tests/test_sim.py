@@ -1,20 +1,36 @@
 """Monte Carlo harness: determinism, design moments, and aggregation."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from condinfer.inference import EffectEstimates, studentize, unconditional_ci
 from condinfer.sim import (
     DesignConfig,
     RepRecord,
     _equicorr_cholesky,
+    _rep_rng,
     csv_header,
     csv_row,
     format_table,
     simulate_design,
     summarize,
 )
+from condinfer.stats_core import (
+    BoundaryStatisticError,
+    DegenerateSupportError,
+    invert_truncated_mu,
+)
+from condinfer.support import (
+    InconsistentEventError,
+    SelectionEvent,
+    conditional_support,
+    decompose,
+)
+from condinfer.testing import ThresholdSpec, step_down_select
 
 
 def test_config_validation():
@@ -155,3 +171,86 @@ def test_csv_and_table_rendering():
     # zero-selected coverage renders as NA, never as 0
     empty = summarize(cfg, [RepRecord(selected=False)])
     assert "NA" in csv_row(empty)
+
+
+def _one_replication(cfg, rep, chol, spec):
+    """One replication through the public per-effect functions."""
+    z = _rep_rng(cfg.seed, rep).standard_normal((cfg.n, cfg.m))
+    latent = z @ chol.T
+    if cfg.design == "chisq":
+        latent = (latent**2 - 1.0) / math.sqrt(2.0)
+    sample = latent + np.asarray(cfg.theta)
+    estimates = EffectEstimates(
+        sample.mean(axis=0), np.cov(sample, rowvar=False, ddof=1) / cfg.n
+    )
+    x, omega, sd = studentize(estimates)
+    significant = step_down_select(x, spec).significant_set
+    t = cfg.target
+    if t not in significant:
+        return RepRecord(selected=False)
+    event = (
+        SelectionEvent.superset([t])
+        if cfg.event == "superset"
+        else SelectionEvent.equal(significant)
+    )
+    try:
+        d = decompose(x, omega, t)
+        support = conditional_support(d, spec, event)
+        lo, est, hi = sd[t] * invert_truncated_mu(
+            d.x_s, support, (1.0 - cfg.alpha / 2.0, 0.5, cfg.alpha / 2.0)
+        )
+    except (DegenerateSupportError, InconsistentEventError, BoundaryStatisticError):
+        return RepRecord(selected=True, failed=True)
+    truth = cfg.theta[t]
+    naive_lo, naive_hi = unconditional_ci(estimates, t, cfg.alpha)
+    bonf_lo, bonf_hi = unconditional_ci(estimates, t, cfg.alpha / cfg.m)
+    return RepRecord(
+        selected=True,
+        cond_covered=bool(lo <= truth <= hi),
+        naive_covered=bool(naive_lo <= truth <= naive_hi),
+        bonf_covered=bool(bonf_lo <= truth <= bonf_hi),
+        cond_length=float(hi - lo),
+        naive_length=float(naive_hi - naive_lo),
+        bonf_length=float(bonf_hi - bonf_lo),
+        cond_bias=float(est - truth),
+        naive_bias=float(estimates.theta_hat[t] - truth),
+    )
+
+
+@pytest.mark.parametrize(
+    "design, sided, event",
+    list(itertools.product(("normal", "chisq"), ("one", "two"), ("equal", "superset"))),
+)
+def test_batched_block_matches_per_replication_reference(design, sided, event):
+    cfg = DesignConfig(
+        design=design, n=120, reps=150, seed=11, sided=sided, event=event,
+        theta=(0.2, 0.12, 0.05, 0.0, 0.0),
+    )
+    spec = ThresholdSpec("holm", cfg.fwer, cfg.m, cfg.sided)
+    chol = _equicorr_cholesky(
+        cfg.m, cfg.rho if design == "normal" else math.sqrt(cfg.rho)
+    )
+    expected = summarize(
+        cfg, [_one_replication(cfg, rep, chol, spec) for rep in range(cfg.reps)]
+    )
+    batched = simulate_design(cfg)
+    assert batched.reps_selected == expected.reps_selected > 10
+    assert batched.failures == expected.failures
+    for field in dataclasses.fields(expected):
+        value, reference = getattr(batched, field.name), getattr(expected, field.name)
+        if isinstance(reference, float):
+            assert value == pytest.approx(reference, abs=1e-9), field.name
+        else:
+            assert value == reference, field.name
+
+
+def test_monte_carlo_standard_errors():
+    cfg = DesignConfig(design="normal", n=120, reps=80, seed=31)
+    summary = simulate_design(cfg)
+    p, k = summary.sel_prob, summary.reps
+    assert summary.sel_prob_se == pytest.approx(math.sqrt(p * (1 - p) / k))
+    c, usable = summary.coverage_cond, summary.reps_selected - summary.failures
+    assert summary.coverage_cond_se == pytest.approx(math.sqrt(c * (1 - c) / usable))
+    empty = summarize(cfg, [RepRecord(selected=False)] * 4)
+    assert empty.sel_prob_se == 0.0 and empty.coverage_cond_se is None
+    assert csv_header().endswith("median_bias_naive,sel_prob_se,coverage_cond_se")

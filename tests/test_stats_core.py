@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mp_truncated_root
+
 from condinfer.stats_core import (
-    BracketFailureError,
+    MU_TOL,
+    BoundaryStatisticError,
     DegenerateSupportError,
     IntervalUnion,
     TruncatedGaussian,
@@ -22,6 +25,10 @@ from condinfer.stats_core import (
     normal_quantile,
     normal_sf,
     truncated_cdf,
+    _BOUNDARY,
+    _DEGENERATE,
+    _SOLVED,
+    _invert_batch,
 )
 
 INF = math.inf
@@ -247,8 +254,88 @@ def test_invert_preconditions():
 
 def test_invert_bracket_failure():
     # observed value glued to the lower edge of a bounded support: the
-    # p = 0.99 quantile lies thousands of standard deviations away, past
-    # the configured bracket span
-    support = IntervalUnion(((2.0, 4.0),))
-    with pytest.raises(BracketFailureError):
-        invert_truncated_mu(2.001, support, 0.99)
+    # p = 0.99 quantile lies about 4600 standard deviations away and is a
+    # real answer.  Far out the log masses are of order mu^2 / 2, so doubles
+    # carry about 1e-9 relative accuracy in the root.
+    root = invert_truncated_mu(2.001, IntervalUnion(((2.0, 4.0),)), 0.99)
+    assert root == pytest.approx(-4603.16947, rel=1e-8)
+    assert root == pytest.approx(mp_truncated_root(2.001, ((2.0, 4.0),), 0.99), rel=1e-8)
+
+
+# statistics a few thousandths from a support endpoint, with a target whose
+# root lies hundreds to thousands of standard deviations away: an effect of
+# an m = 371 two-sided Holm instance, then four replications of
+# DesignConfig(reps=20000, seed=1, sided="one", event="equal")
+FAR_TAIL_CASES = [
+    (3.6430, ((3.6394, 3.7040),), 0.95),
+    (2.861956822810166, ((2.687691263194274, 2.862574231382836),), 0.05),
+    (1.960267838925044, ((1.959963984540054, 2.533313302809788),), 0.95),
+    (3.171155626169457, ((2.0537489106318225, 3.171491436552747),), 0.05),
+    (4.470619842292195, ((4.467138226369531, INF),), 0.95),
+]
+
+
+@pytest.mark.parametrize("x, intervals, p", FAR_TAIL_CASES)
+def test_invert_far_tail_matches_mpmath(x, intervals, p):
+    root = invert_truncated_mu(x, IntervalUnion(intervals), p)
+    assert abs(root - x) > 640.0
+    assert root == pytest.approx(mp_truncated_root(x, intervals, p), rel=1e-8)
+
+
+def test_invert_matches_scalar_root_finder():
+    # inside the reach of a capped bracket the kernel's roots are unchanged:
+    # they agree with Brent's method on the linear-space truncated CDF to
+    # MU_TOL, for all three targets of an effect solved in one call
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        lo = rng.uniform(-2, 0)
+        hi = lo + rng.uniform(1, 3)
+        if rng.random() < 0.5:
+            support = IntervalUnion(((-INF, lo), (hi, INF)))
+            x = hi + abs(rng.normal())
+        else:
+            support = IntervalUnion(((lo, hi),))
+            x = rng.uniform(lo + 0.05, hi - 0.05)
+        targets = (0.95, 0.5, 0.05)
+        roots = invert_truncated_mu(x, support, targets)
+        for p, root in zip(targets, roots):
+            expected = brentq(
+                lambda mu: truncated_cdf(x, TruncatedGaussian(mu, support)) - p,
+                x - 30.0,
+                x + 30.0,
+                xtol=1e-14,
+            )
+            assert abs(root - expected) <= MU_TOL
+
+
+def test_invert_targets_in_one_call_match_single_targets():
+    support = IntervalUnion(((-INF, -1.6449), (1.6449, INF)))
+    roots = invert_truncated_mu(2.0, support, [0.95, 0.5, 0.05])
+    assert roots.shape == (3,)
+    for p, root in zip((0.95, 0.5, 0.05), roots):
+        assert root == pytest.approx(invert_truncated_mu(2.0, support, p), abs=MU_TOL)
+    with pytest.raises(ValueError):
+        invert_truncated_mu(2.0, support, [0.5, 1.0])
+
+
+def test_batch_failures_stay_per_problem():
+    # problem 1 sits 1e-12 above its support's lower end: its p = 0.99 root
+    # is near -4.6e12, where the piece of the support below the statistic
+    # is narrower than the spacing of doubles and its mass vanishes;
+    # problem 3 sits on an endpoint.  Only those two fail.
+    x = np.array([2.5, 2.0 + 1e-12, 2.5, 2.0])
+    lo = np.full((4, 1), 2.0)
+    hi = np.full((4, 1), 4.0)
+    p = np.array([0.99, 0.99, 0.05, 0.5])
+    roots, code = _invert_batch(x, lo, hi, p)
+    assert code.tolist() == [_SOLVED, _DEGENERATE, _SOLVED, _BOUNDARY]
+    assert np.isnan(roots[[1, 3]]).all()
+    for i in (0, 2):
+        alone = invert_truncated_mu(2.5, IntervalUnion(((2.0, 4.0),)), p[i])
+        assert roots[i] == pytest.approx(alone, abs=MU_TOL)
+    with pytest.raises(DegenerateSupportError):
+        invert_truncated_mu(2.0 + 1e-12, IntervalUnion(((2.0, 4.0),)), 0.99)
+    with pytest.raises(BoundaryStatisticError):
+        invert_truncated_mu(2.0, IntervalUnion(((2.0, 4.0),)), 0.5)

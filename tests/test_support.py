@@ -439,7 +439,7 @@ def test_traced_names_exist_and_are_looked_up():
     assert figures["support.conditional_support_calls"] == 3
     assert figures["support.intervals"] >= 3
     assert figures["support.raw_pieces"] >= figures["support.intervals"]
-    assert figures["stats_core.invert_truncated_mu_calls"] == 9
+    assert figures["stats_core.invert_truncated_mu_calls"] == 3
 
 
 def test_inconsistent_event_error():
