@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
 import numpy as np
 
-from .stats_core import (
+# invert_truncated_mu stays importable here for tools that wrap it by this name
+from .stats_core import (  # noqa: F401
     BoundaryStatisticError,
     DegenerateSupportError,
     IntervalUnion,
+    _inversion_error,
+    _invert_supports,
     invert_truncated_mu,
     normal_quantile,
 )
@@ -143,58 +146,6 @@ def _selected_support(
     return d.x_s, conditional_support(d, spec, event)
 
 
-def _infer_one(
-    s: int,
-    x: np.ndarray,
-    omega: np.ndarray,
-    sd: np.ndarray,
-    spec: ThresholdSpec,
-    event: SelectionEvent,
-    alpha_eff: float,
-    naive: tuple[float, float, float],
-    label: str | None,
-) -> ConditionalInference:
-    naive_est, naive_lo, naive_hi = naive
-    base = dict(
-        s=s,
-        naive_estimate=naive_est,
-        naive_ci_lo=naive_lo,
-        naive_ci_hi=naive_hi,
-        alpha=alpha_eff,
-        event=event,
-        label=label,
-    )
-    support = None
-    try:
-        x_s, support = _selected_support(x, omega, s, spec, event)
-        mu_lo, mu_ub, mu_hi = invert_truncated_mu(
-            x_s, support, (1.0 - alpha_eff / 2.0, 0.5, alpha_eff / 2.0)
-        )
-    except (
-        DegenerateSupportError,
-        InconsistentEventError,
-        BoundaryStatisticError,
-    ) as exc:
-        return ConditionalInference(
-            estimate_ub=math.nan,
-            ci_lo=math.nan,
-            ci_hi=math.nan,
-            support=support,
-            flags=(
-                "boundary" if isinstance(exc, BoundaryStatisticError) else "degenerate",
-            ),
-            error=f"{type(exc).__name__}: {exc}",
-            **base,
-        )
-    return ConditionalInference(
-        estimate_ub=float(sd[s] * mu_ub),
-        ci_lo=float(sd[s] * mu_lo),
-        ci_hi=float(sd[s] * mu_hi),
-        support=support,
-        **base,
-    )
-
-
 def infer_significant(
     estimates: EffectEstimates,
     spec: ThresholdSpec,
@@ -210,9 +161,12 @@ def infer_significant(
     observed outcome (``equal``: the exact significant set; ``superset``:
     its containment) and inverts the truncated-Gaussian distribution of the
     selected statistic at p = 1 - a/2, 0.5 and a/2, where a = alpha / |S| in
-    ``joint`` mode and alpha otherwise.  Results come back in effect-index
-    order; the naive fields always use the unadjusted alpha.  Returns an
-    empty list when nothing is significant.
+    ``joint`` mode and alpha otherwise.  Supports are found effect by
+    effect (on ``workers`` threads when more than one is asked for), then
+    every effect's roots are solved in one call of the inversion kernel; an
+    effect whose support or inversion fails is flagged alone.  Results come
+    back in effect-index order; the naive fields always use the unadjusted
+    alpha.  Returns an empty list when nothing is significant.
     """
     if event_kind not in ("equal", "superset"):
         raise ValueError(f"unknown event kind {event_kind!r}")
@@ -230,22 +184,59 @@ def infer_significant(
     )
     labels = estimates.labels or [None] * estimates.m
 
-    def task(s: int) -> ConditionalInference:
-        return _infer_one(
-            s,
-            x,
-            omega,
-            sd,
-            spec,
-            event,
-            alpha_eff,
-            (float(estimates.theta_hat[s]), *unconditional_ci(estimates, s, alpha)),
-            labels[s],
-        )
+    def support_of(s: int):
+        try:
+            return _selected_support(x, omega, s, spec, event)
+        except (DegenerateSupportError, InconsistentEventError) as exc:
+            return exc
 
     if workers is None:
         workers = int(os.environ.get(_WORKERS_ENV, "1"))
     if workers > 1 and len(selected) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, selected))
-    return [task(s) for s in selected]
+            found = list(pool.map(support_of, selected))
+    else:
+        found = [support_of(s) for s in selected]
+
+    # every effect's three roots in one call of the inversion kernel
+    solved = [f for f in found if not isinstance(f, Exception)]
+    mu, code = _invert_supports(
+        [x_s for x_s, _ in solved],
+        [support.intervals for _, support in solved],
+        (1.0 - alpha_eff / 2.0, 0.5, alpha_eff / 2.0),
+    )
+    inverted = iter(zip(mu, code))
+    results = []
+    for s, outcome in zip(selected, found):
+        if isinstance(outcome, Exception):
+            error, support, roots = outcome, None, None
+        else:
+            x_s, support = outcome
+            roots, row_code = next(inverted)
+            error = _inversion_error(x_s, row_code)
+        mu_lo = mu_ub = mu_hi = math.nan
+        flags, reason = (), None
+        if error is None:
+            mu_lo, mu_ub, mu_hi = sd[s] * roots
+        else:
+            flags = ("boundary" if isinstance(error, BoundaryStatisticError) else "degenerate",)
+            reason = f"{type(error).__name__}: {error}"
+        naive_lo, naive_hi = unconditional_ci(estimates, s, alpha)
+        results.append(ConditionalInference(
+            s=s,
+            estimate_ub=float(mu_ub),
+            ci_lo=float(mu_lo),
+            ci_hi=float(mu_hi),
+            naive_estimate=float(estimates.theta_hat[s]),
+            naive_ci_lo=naive_lo,
+            naive_ci_hi=naive_hi,
+            support=support,
+            alpha=alpha_eff,
+            event=event,
+            label=labels[s],
+            flags=flags,
+            error=reason,
+        ))
+    return results

@@ -18,11 +18,16 @@ from typing import Sequence
 import numpy as np
 
 from .inference import EffectEstimates, _selected_support, studentize
-from .stats_core import _SOLVED, DegenerateSupportError, _invert_batch, normal_quantile
+from .stats_core import _SOLVED, DegenerateSupportError, _invert_supports, normal_quantile
 from .support import InconsistentEventError, SelectionEvent
 
 # step_down_select stays importable here for tools that wrap it by this name
-from .testing import ThresholdSpec, _batch_membership, step_down_select  # noqa: F401
+from .testing import (  # noqa: F401
+    ThresholdSpec,
+    _batch_membership,
+    keyed_streams,
+    step_down_select,
+)
 
 #: Replications whose samples are held in memory at once.
 _CHUNK = 64
@@ -126,7 +131,8 @@ class SimulationSummary:
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     # counter-based generator keyed by (seed, replication) so serial and
-    # parallel execution draw identical streams
+    # parallel execution draw identical streams; _block_estimates draws the
+    # same streams through testing.keyed_streams
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
     )
@@ -198,10 +204,11 @@ def _block_estimates(cfg: DesignConfig, chol: np.ndarray) -> EffectEstimates:
     theta_hat = np.empty((reps, m))
     cov = np.empty((reps, m, m))
     buffer = np.empty((min(reps, _CHUNK), n, m))
+    streams = keyed_streams(cfg.seed, reps)
     for start in range(0, reps, _CHUNK):
         z = buffer[: min(reps - start, _CHUNK)]
-        for k in range(z.shape[0]):
-            _rep_rng(cfg.seed, start + k).standard_normal(out=z[k])
+        for sample, rng in zip(z, streams):
+            rng.standard_normal(out=sample)
         block = slice(start, start + z.shape[0])
         # one m x n sample per replication, observations along the last axis
         sample = chol @ np.swapaxes(z, 1, 2)
@@ -248,16 +255,10 @@ def simulate_design(cfg: DesignConfig) -> SimulationSummary:
         solved.append(r)
         x_s.append(stat)
         supports.append(support.intervals)
-    width = max((len(ends) for ends in supports), default=1)
-    # one row per (replication, target), padded with empty intervals
-    bounds = np.zeros((len(supports), 2, width))
-    for i, ends in enumerate(supports):
-        bounds[i, :, : len(ends)] = np.array(ends).T
-    bounds = np.repeat(bounds, 3, axis=0)
-    targets = np.tile([1.0 - cfg.alpha / 2.0, 0.5, cfg.alpha / 2.0], len(supports))
-    mu, code = _invert_batch(np.repeat(x_s, 3), bounds[:, 0], bounds[:, 1], targets)
-    mu = mu.reshape(-1, 3) * sd[solved, t][:, None]
-    ok = (code.reshape(-1, 3) == _SOLVED).all(axis=1)
+    targets = (1.0 - cfg.alpha / 2.0, 0.5, cfg.alpha / 2.0)
+    mu, code = _invert_supports(x_s, supports, targets)
+    mu = mu * sd[solved, t][:, None]
+    ok = (code == _SOLVED).all(axis=1)
 
     truth = cfg.theta[t]
     rows = np.array(solved, dtype=int)[ok]

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
 
 _SQRT2 = math.sqrt(2.0)
 _INF = math.inf
+_STANDARD_NORMAL = NormalDist()
 
 #: Total truncated mass below this floor is treated as numerically zero.
 MASS_FLOOR = 1e-300
@@ -70,7 +71,7 @@ def normal_quantile(p: float) -> float:
     """Inverse of :func:`normal_cdf` on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires p in (0, 1), got {p!r}")
-    return float(ndtri(p))
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -198,14 +199,78 @@ def truncated_cdf(x: float, dist: TruncatedGaussian) -> float:
     return min(max(num / den, 0.0), 1.0)
 
 
+#: Cody's (1969) rational approximations of the normal CDF, one row per
+#: range of |x|: numerator and denominator coefficients, highest degree
+#: first, zero-padded to a common length.
+_CODY = np.array([
+    # |x| <= 0.67448975, in x^2: Phi(x) = 1/2 + x P(x^2) / Q(x^2)
+    [
+        [0, 0, 0, 0, 0.065682337918207449113, 2.2352520354606839287,
+         161.02823106855587881, 1067.6894854603709582, 18154.981253343561249],
+        [0, 0, 0, 0, 1.0, 47.20258190468824187, 976.09855173777669322,
+         10260.932208618978205, 45507.789335026729956],
+    ],
+    # |x| <= sqrt(32), in |x|: Phi(-|x|) = exp(-x^2/2) P(|x|) / Q(|x|)
+    [
+        [1.0765576773720192317e-8, 0.39894151208813466764, 8.8831497943883759412,
+         93.506656132177855979, 597.27027639480026226, 2494.5375852903726711,
+         6848.1904505362823326, 11602.651437647350124, 9842.7148383839780218],
+        [1.0, 22.266688044328115691, 235.38790178262499861, 1519.377599407554805,
+         6485.558298266760755, 18615.571640885098091, 34900.952721145977266,
+         38912.003286093271411, 19685.429676859990727],
+    ],
+    # beyond, in 1/x^2: Phi(-|x|) = exp(-x^2/2) (1/sqrt(2 pi) - P/Q x^-2) / |x|
+    [
+        [0, 0, 0, 0.02307344176494017303, 0.21589853405795699, 0.1274011611602473639,
+         0.022235277870649807, 0.001421619193227893466, 2.9112874951168792e-5],
+        [0, 0, 0, 1.0, 1.28426009614491121, 0.468238212480865118,
+         0.0659881378689285515, 0.00378239633202758244, 7.29751555083966205e-5],
+    ],
+])
+_CODY_EDGES = (0.67448975, math.sqrt(32.0))
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _log_ndtr(x: np.ndarray) -> np.ndarray:
+    """Elementwise log of the standard normal CDF, accurate to a few ulp
+    relative in both tails.
+
+    Cody's rational approximations in the log-space arrangement of R's
+    ``pnorm``: the central range gives log(1/2 + x P/Q); beyond it the
+    lower tail is -x^2/2 + log(P/Q), with x^2 split at trunc(16 |x|)/16 so
+    that neither part loses digits nor underflows, and the upper tail is
+    log1p of minus that tail's value.  ±inf and NaN pass through.
+    """
+    x = np.asarray(x, dtype=float)
+    # x^2 overflows long before 1e170; the cap keeps inf - inf out of the split
+    y = np.minimum(np.abs(x), 1e170)
+    branch = (y > _CODY_EDGES[0]).astype(np.intp) + (y > _CODY_EDGES[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(branch == 0, x * x, np.where(branch == 1, y, 1.0 / (y * y)))
+        coef = _CODY[branch]
+        acc = coef[..., 0]
+        for k in range(1, coef.shape[-1]):
+            acc = acc * t[..., None] + coef[..., k]
+        ratio = acc[..., 0] / acc[..., 1]
+        tail = np.where(branch == 1, ratio, (_INV_SQRT_2PI - t * ratio) / y)
+        y16 = np.trunc(16.0 * y) / 16.0
+        log_head, log_rest = -0.5 * y16 * y16, -0.5 * (y - y16) * (y + y16)
+        out = np.where(
+            x > 0.0,
+            np.log1p(-np.exp(log_head) * np.exp(log_rest) * tail),
+            log_head + log_rest + np.log(tail),
+        )
+        return np.where(branch == 0, np.log(0.5 + x * ratio), out)
+
+
 def _log_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise log of the standard normal mass of [a, b], a <= b, as a
     difference of tail probabilities on the smaller-tail side, so it keeps
     its relative accuracy far out; an empty piece (a == b) gives -inf."""
     right = a + b > 0.0
-    upper = np.where(right, -a, b)
-    log_upper = log_ndtr(upper)
-    return log_upper + np.log1p(-np.exp(log_ndtr(np.where(right, -b, a)) - log_upper))
+    ends = np.stack((np.where(right, -a, b), np.where(right, -b, a)))
+    log_upper, log_lower = _log_ndtr(ends)
+    return log_upper + np.log1p(-np.exp(log_lower - log_upper))
 
 
 def _invert_batch(
@@ -297,6 +362,40 @@ def _invert_batch(
     return root, code
 
 
+def _invert_supports(x_obs, supports, p) -> tuple[np.ndarray, np.ndarray]:
+    """Roots and status codes of every (statistic, support) pair at every
+    target in ``p``, each of shape (pairs, targets), from one call of
+    :func:`_invert_batch`.  ``supports`` holds each pair's intervals as
+    (lo, hi) tuples; shorter ones are padded with empty intervals."""
+    p = np.asarray(p, dtype=float)
+    width = max((len(ends) for ends in supports), default=1)
+    bounds = np.zeros((len(supports), 2, width))
+    for i, ends in enumerate(supports):
+        bounds[i, :, : len(ends)] = np.array(ends).T
+    bounds = np.repeat(bounds, p.size, axis=0)
+    roots, code = _invert_batch(
+        np.repeat(np.asarray(x_obs, dtype=float), p.size),
+        bounds[:, 0],
+        bounds[:, 1],
+        np.tile(p, len(supports)),
+    )
+    return roots.reshape(-1, p.size), code.reshape(-1, p.size)
+
+
+def _inversion_error(x_obs: float, code: np.ndarray) -> Exception | None:
+    """The error that a statistic's status codes stand for, or None when
+    every one of its roots was found."""
+    if (code == _BOUNDARY).any():
+        return BoundaryStatisticError(
+            f"x_obs={x_obs!r} must lie in the interior of the support"
+        )
+    if (code == _DEGENERATE).any():
+        return DegenerateSupportError(
+            f"truncated mass vanished in log space for x_obs={x_obs!r}"
+        )
+    return None
+
+
 def invert_truncated_mu(x_obs: float, support: IntervalUnion, p):
     """Solve ``truncated_cdf(x_obs, (mu, support)) = p`` for the mean.
 
@@ -313,20 +412,8 @@ def invert_truncated_mu(x_obs: float, support: IntervalUnion, p):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     if support.is_empty:
         raise ValueError("support must be nonempty")
-    lo, hi = np.array(support.intervals).T
-    n = targets.size
-    roots, code = _invert_batch(
-        np.full(n, float(x_obs)),
-        np.broadcast_to(lo, (n, lo.size)),
-        np.broadcast_to(hi, (n, hi.size)),
-        targets,
-    )
-    if (code == _BOUNDARY).any():
-        raise BoundaryStatisticError(
-            f"x_obs={x_obs!r} must lie in the interior of the support"
-        )
-    if (code == _DEGENERATE).any():
-        raise DegenerateSupportError(
-            f"truncated mass vanished in log space for x_obs={x_obs!r}"
-        )
+    (roots,), (code,) = _invert_supports([x_obs], [support.intervals], targets)
+    error = _inversion_error(x_obs, code)
+    if error is not None:
+        raise error
     return float(roots[0]) if np.ndim(p) == 0 else roots

@@ -10,9 +10,10 @@ to largest against growing ones.  Both are driven by the same
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -354,6 +355,75 @@ def _batch_membership(x_matrix: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
     return member
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(multiplier: int, step: int):
+    """SeedSequence's hash of uint32 words: xor with a multiplier, advance
+    it by ``step``, multiply by it and fold the high half into the low."""
+
+    def hashmix(value):
+        nonlocal multiplier
+        value = value ^ np.uint32(multiplier)
+        multiplier = multiplier * step & _MASK32
+        value = value * np.uint32(multiplier)
+        return value ^ value >> np.uint32(16)
+
+    return hashmix
+
+
+def stream_keys(seed: int, indices) -> np.ndarray:
+    """Philox keys of the streams keyed by (seed, b) for every b in ``indices``.
+
+    Row b equals ``SeedSequence(entropy=seed, spawn_key=(b,)).generate_state(
+    2, np.uint64)``: a port of SeedSequence's entropy pool to uint32 arrays
+    over the indices, in which everything before the spawn word depends on
+    the seed alone and is computed once.  Indices must lie in [0, 2**32),
+    where the spawn key is a single word.
+    """
+    seed = operator.index(seed)
+    indices = np.asarray(indices)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    if indices.size and not (0 <= indices.min() and indices.max() <= _MASK32):
+        raise ValueError("stream indices must lie in [0, 2**32)")
+    # the seed's 32-bit words, zero-padded to the pool size of 4
+    words = [np.uint32(seed >> k & _MASK32) for k in range(0, seed.bit_length(), 32)]
+    words += [np.uint32(0)] * (4 - len(words))
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        value = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return value ^ value >> np.uint32(16)
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(word) for word in words[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:] + [indices.astype(np.uint32)]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        output = _hashmix(0x8B51F9DD, 0x58F38DED)
+        state = [output(word).astype(np.uint64) for word in pool]
+    high = np.uint64(32)
+    return np.stack((state[0] | state[1] << high, state[2] | state[3] << high), axis=-1)
+
+
+def keyed_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """The generators of the Philox streams keyed by (seed, 0), ...,
+    (seed, n - 1), in order.  One generator is re-keyed in place for each
+    stream, so draw from it before taking the next."""
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    for key in stream_keys(seed, np.arange(n)):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield rng
+
+
 def wild_bootstrap_draws(
     residuals: np.ndarray,
     cluster_ids: Sequence,
@@ -389,10 +459,7 @@ def wild_bootstrap_draws(
     if np.any(se <= 0.0) or not np.all(np.isfinite(se)):
         raise ZeroVarianceError("the replicates have a degenerate standard error")
     out = np.empty((n_draws, m))
-    for b in range(n_draws):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        )
+    for b, rng in enumerate(keyed_streams(seed, n_draws)):
         out[b] = (rng.integers(0, 2, size=n_clusters) * 2 - 1) @ cluster_sums
     out /= n
     out /= se

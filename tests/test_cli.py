@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condinfer
 from condinfer.cli import load_estimates, main
 from condinfer.testing import save_bootstrap_draws
 
@@ -30,6 +35,24 @@ def three_effects(tmp_path):
     write(est, "id,estimate\na,3.1\nb,0.2\nc,-2.8\n")
     write(cov, "1.0,0.3,0.1\n0.3,1.0,0.2\n0.1,0.2,1.0\n")
     return est, cov
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test dependency only: the program and its command line
+    # must start without it
+    src = Path(condinfer.__file__).resolve().parents[1]
+    code = (
+        "import sys, condinfer, condinfer.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_load_estimates_shapes(three_effects):

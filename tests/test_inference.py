@@ -254,9 +254,7 @@ def test_known_v_conditional_coverage_and_median_unbiasedness():
         d = decompose(x, omega, 0)
         support = conditional_support(d, spec, event)
         transforms.append(truncated_cdf(d.x_s, TruncatedGaussian(mu[0], support)))
-        lo = invert_truncated_mu(d.x_s, support, 0.95)
-        ub = invert_truncated_mu(d.x_s, support, 0.5)
-        hi = invert_truncated_mu(d.x_s, support, 0.05)
+        lo, ub, hi = invert_truncated_mu(d.x_s, support, (0.95, 0.5, 0.05))
         covered.append(lo <= mu[0] <= hi)
         above.append(ub >= mu[0])
     n = len(covered)

@@ -30,7 +30,7 @@ from condinfer.support import (
     conditional_support,
     decompose,
 )
-from condinfer.testing import ThresholdSpec, step_down_select
+from condinfer.testing import ThresholdSpec, keyed_streams, step_down_select
 
 
 def test_config_validation():
@@ -57,6 +57,17 @@ def test_simulation_is_deterministic():
     assert first == second
     shifted = simulate_design(DesignConfig(design="normal", n=120, reps=80, seed=32))
     assert shifted != first
+
+
+def test_keyed_streams_are_the_replication_streams():
+    # the block draws through one re-keyed generator; each replication's
+    # stream must still be _rep_rng's
+    for rep, rng in enumerate(keyed_streams(2**40 + 9, 5)):
+        reference = _rep_rng(2**40 + 9, rep)
+        np.testing.assert_array_equal(
+            rng.standard_normal((4, 3)), reference.standard_normal((4, 3))
+        )
+        assert rng.integers(0, 2**62) == reference.integers(0, 2**62)
 
 
 def test_chisq_transform_moments():

@@ -29,6 +29,7 @@ from condinfer.stats_core import (
     _DEGENERATE,
     _SOLVED,
     _invert_batch,
+    _log_ndtr,
 )
 
 INF = math.inf
@@ -102,6 +103,42 @@ def test_normal_quantile_domain():
 @settings(max_examples=200, deadline=None)
 def test_quantile_round_trip(p):
     assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
+
+
+def test_log_ndtr_matches_mpmath():
+    # Cody's branch edges and both sides of them, the far lower tail out to
+    # -1e8, and the upper tail up to where log Phi leaves the normal doubles
+    mp = pytest.importorskip("mpmath")
+    edges = [0.67448975, math.sqrt(32.0), 37.5]
+    edges += [np.nextafter(e, s) for e in edges for s in (0.0, INF)]
+    x = np.concatenate([
+        np.linspace(-60.0, 37.5, 1201),
+        -np.logspace(1.0, 8.0, 200),
+        edges,
+        np.negative(edges),
+        [0.0, 1e-300, -1e-300, 16.6],
+    ])
+    with mp.workdps(60):
+        # for x > 0, log(ncdf(x)) would round away the tail even at 60 digits
+        expected = np.array([
+            float(mp.log1p(-mp.ncdf(-v)) if v > 0 else mp.log(mp.ncdf(v)))
+            for v in map(mp.mpf, x.tolist())
+        ])
+    got = _log_ndtr(x)
+    assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+    np.testing.assert_array_equal(_log_ndtr(np.array([-INF, INF, 1e8])), [-INF, 0.0, 0.0])
+    assert np.isnan(_log_ndtr(np.array([math.nan]))).all()
+
+
+def test_normal_quantile_matches_ndtri():
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    p = np.concatenate([
+        np.logspace(-300.0, math.log10(0.5), 400),
+        1.0 - np.logspace(-15.0, math.log10(0.5), 400),
+        np.random.default_rng(3).uniform(size=200),
+    ])
+    got = np.array([normal_quantile(v) for v in p.tolist()])
+    assert np.all(np.abs(got - ndtri(p)) <= 2e-15 * np.abs(ndtri(p)))
 
 
 def test_interval_union_validation():

@@ -17,6 +17,7 @@ from condinfer.testing import (
     save_bootstrap_draws,
     step_down_select,
     step_up_select,
+    stream_keys,
     threshold_value,
     thresholds_by_step,
     wild_bootstrap_draws,
@@ -386,6 +387,22 @@ def test_wild_bootstrap_matches_per_replicate_formula():
         np.add.at(sums, inverse, weighted)
         se = np.sqrt((sums**2).sum(axis=0)) / 40
         np.testing.assert_allclose(draws[b], weighted.mean(axis=0) / se, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 31000096, 2**32 + 5, 2**70 + 123])
+def test_stream_keys_match_seed_sequence(seed):
+    indices = [*range(300), 2**31, 2**32 - 1]
+    expected = [
+        np.random.SeedSequence(entropy=seed, spawn_key=(b,)).generate_state(2, np.uint64)
+        for b in indices
+    ]
+    np.testing.assert_array_equal(stream_keys(seed, indices), expected)
+
+
+def test_stream_keys_reject_out_of_range():
+    for seed, indices in ((0, [2**32]), (0, [-1]), (-1, [0])):
+        with pytest.raises(ValueError):
+            stream_keys(seed, indices)
 
 
 def test_wild_bootstrap_zero_residuals_error():
