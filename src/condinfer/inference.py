@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# invert_truncated_mu stays importable here for tools that wrap it by this name
+# invert_truncated_mu and decompose stay importable here for tools that wrap
+# them by these names
 from .stats_core import (  # noqa: F401
     BoundaryStatisticError,
     DegenerateSupportError,
@@ -25,9 +26,10 @@ from .stats_core import (  # noqa: F401
     invert_truncated_mu,
     normal_quantile,
 )
-from .support import (
+from .support import (  # noqa: F401
     InconsistentEventError,
     SelectionEvent,
+    _decompose,
     conditional_support,
     decompose,
 )
@@ -141,8 +143,9 @@ class ConditionalInference:
 def _selected_support(
     x: np.ndarray, omega: np.ndarray, s: int, spec: ThresholdSpec, event: SelectionEvent
 ) -> tuple[float, IntervalUnion]:
-    """The statistic of effect s and its support given the event."""
-    d = decompose(x, omega, s)
+    """The statistic of effect s and its support given the event, for a
+    studentized ``omega``."""
+    d = _decompose(x, omega, s)
     return d.x_s, conditional_support(d, spec, event)
 
 

@@ -22,6 +22,15 @@ counts the lines at or above the level in every cell with one cumulative
 sum, and returns the admitted cells as already-merged intervals (Lee, Sun,
 Sun & Taylor 2016 truncate along the same line through the data).
 
+Each level is cut only inside a window of its own.  Under a step-down
+``superset`` event step j can fail only where some required score is below
+t_j, so level j's window is the hull of that set: its edges are crossings
+of required lines with the level (cuts anyway) or edges of the event's
+window, and a level whose hull is empty is not cut at all.  Finding every
+line's crossing with every level still costs O(m²) per support, but only
+the lines that cross some level inside its window are sorted and counted,
+and on the paper's inputs those are few.
+
 The ``bootstrap`` thresholds depend on the set of remaining hypotheses, so
 its support is found cell by cell between the points where the ordering of
 the scores can change.
@@ -95,6 +104,13 @@ def decompose(x: Sequence[float], omega: np.ndarray, s: int) -> Decomposition:
         raise ValueError("omega must be symmetric")
     if np.abs(np.diag(omega) - 1.0).max() > 1e-12:
         raise ValueError("omega must have a unit diagonal")
+    return _decompose(x, omega, s)
+
+
+def _decompose(x: np.ndarray, omega: np.ndarray, s: int) -> Decomposition:
+    """:func:`decompose` without its checks, for float ``x`` and ``omega``
+    of matching shapes where ``omega`` is symmetric with a unit diagonal by
+    construction (as :func:`~condinfer.inference.studentize` returns it)."""
     col = omega[:, s].copy()
     z = x - col * x[s]
     z[s] = 0.0
@@ -203,17 +219,13 @@ def merge_intervals(
 # ---------------------------------------------------------------------------
 
 
-def _lines(a, b, rows, two):
-    """Slopes, intercepts and source rows of the lines a count runs over."""
-    rows = np.asarray(rows, dtype=int)
+def _lines(a, b, two, rows=slice(None)):
+    """Slopes and intercepts of the lines a count runs over: the scores of
+    ``rows`` and, under two-sided testing, their negatives after them."""
+    a, b = a[rows], b[rows]
     if two:
-        rows = np.concatenate((rows, rows))
-        half = rows.size // 2
-        a, b = a[rows], b[rows]
-        a[half:] *= -1.0
-        b[half:] *= -1.0
-        return a, b, rows
-    return a[rows], b[rows], rows
+        return np.concatenate((a, -a)), np.concatenate((b, -b))
+    return a, b
 
 
 def _window(a, b, c, strict):
@@ -234,93 +246,133 @@ def _quiet_window(a, b, rows, c, two):
     """Interval where no score in ``rows`` reaches c (closed at sloped lines)."""
     if not rows.size:
         return _EVERYWHERE
-    return _window(*_lines(a, b, rows, two)[:2], c, True)
+    return _window(*_lines(a, b, two, rows), c, True)
 
 
 def _level_cells(a, b, levels, group, w_lo, w_hi):
-    """Cells of [w_lo, w_hi] cut where a line meets a level, with counts.
+    """Cells of each level's own window, cut where a line meets the level.
 
-    Row i holds the cells of ``levels[i]``; ``counts[0][i, c]`` is the
-    number of lines at or above the level in cell c, and ``counts[1]`` the
-    number among the lines with ``group`` weight 1, if a group is given.
-    Cells of zero length are left for the caller to drop.
+    Row i cuts [w_lo[i], w_hi[i]] at the crossings of ``levels[i]`` strictly
+    inside it; a crossing at or left of w_lo[i] only adds its step to the
+    row's first count.  Every crossing is computed and compared with the
+    window (O(levels x lines)), but only the lines with an inner crossing at
+    some level are sorted, and columns past the widest row's count of inner
+    crossings are dropped after the sort, so a narrower row ends in cells
+    of zero length at w_hi[i], which the caller drops.  Returns the cell
+    edges (``edges[i, c]`` to ``edges[i, c + 1]`` is cell c) and the
+    counts: ``counts[0][i, c]`` is the number of lines at or above the
+    level in cell c, and ``counts[1]`` the number among the lines in
+    ``group`` (a boolean mask), if one is given.
     """
-    rise, fall = a > 0.0, a < 0.0
-    flat = ~(rise | fall)
+    w_lo, w_hi = w_lo[:, None], w_hi[:, None]
+    # a flat line (its slope made +0.0) crosses at -inf above the level,
+    # +inf below it and NaN on it, so the ones that clear the level count
+    # as crossed at or left of w_lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (levels[:, None] - b) / a
-    cross[:, flat] = _INF
-    order = np.argsort(cross, axis=1)
-    edges = np.clip(cross[np.arange(levels.size)[:, None], order], w_lo, w_hi)
-    k = levels.size
-    lo = np.concatenate((np.full((k, 1), w_lo), edges), axis=1)
-    hi = np.concatenate((edges, np.full((k, 1), w_hi)), axis=1)
-    step = rise.astype(int) - fall
-    counts = []
-    for w in (np.ones(a.size, dtype=int),) + (() if group is None else (group,)):
-        # lines at or above the level left of every crossing: the falling
-        # ones and the flat ones that clear it
-        start = w @ fall + (b[flat] >= levels[:, None]) @ w[flat]
-        cum = np.cumsum((w * step)[order], axis=1)
-        counts.append(start[:, None] + np.concatenate((np.zeros((k, 1), dtype=int), cum), axis=1))
-    return lo, hi, counts
+        cross = (levels[:, None] - b) / (a + 0.0)
+    past = ~(cross > w_lo)
+    inner = ~past & (cross < w_hi)
+    # a rising or flat line is at or above the level right of its crossing,
+    # a falling one left of it; just right of w_lo, exactly the lines that
+    # are either falling or crossed at or left of w_lo are at or above it
+    fall = a < 0.0
+    above = past ^ fall
+    steps = np.where(fall, -1, 1)
+    starts, weights = [np.count_nonzero(above, axis=1)], [steps]
+    if group is not None:
+        starts.append(np.count_nonzero(above & group, axis=1))
+        weights.append(steps * group)
+    # only the lines that cross some level inside its window are sorted;
+    # every other crossing of theirs moves onto w_hi, after the inner ones
+    lines = np.flatnonzero(inner.any(axis=0))
+    cross, inner = cross.take(lines, axis=1), inner.take(lines, axis=1)
+    np.copyto(cross, w_hi, where=~inner)
+    order = cross.argsort(axis=1)[:, : np.count_nonzero(inner, axis=1).max()]
+    # gathered through the flat index of (row, column), faster than a 2-D one
+    sorted_cross = cross.take(order + lines.size * np.arange(levels.size)[:, None])
+    edges = np.concatenate((w_lo, sorted_cross, w_hi), axis=1)
+    counts = [
+        np.concatenate((start[:, None], ws.take(lines).take(order)), axis=1).cumsum(axis=1)
+        for start, ws in zip(starts, weights)
+    ]
+    return edges, counts
 
 
-def _flagged(a, b, levels, flag, window, group=None):
-    """Pieces (lo, hi) of the cells where ``flag(rows, counts)`` holds.
+def _flagged(a, b, levels, flag, bounds, group=None):
+    """Pieces (lo, hi) covering the cells where ``flag(rows, counts)`` holds.
 
-    ``rows`` is the slice of ``levels`` in the current block, so a flag can
-    index per-level requirements with it.
+    Level i is cut only inside its own window [w_lo[i], w_hi[i]], where
+    ``bounds`` is (w_lo, w_hi).  ``rows`` is the slice of ``levels`` in the
+    current block, so a flag can index per-level requirements with it.  A
+    run of flagged cells within a level comes back as one piece.
     """
+    w_lo, w_hi = bounds
     los, his = [np.empty(0)], [np.empty(0)]
     per = max(1, _BLOCK // (a.size + 1))
     for start in range(0, levels.size, per):
         rows = slice(start, start + per)
-        lo, hi, counts = _level_cells(a, b, levels[rows], group, *window)
-        keep = (lo < hi) & flag(rows, counts)
-        los.append(lo[keep])
-        his.append(hi[keep])
+        edges, counts = _level_cells(a, b, levels[rows], group, w_lo[rows], w_hi[rows])
+        keep = np.zeros((edges.shape[0], edges.shape[1] + 1), dtype=bool)
+        keep[:, 1:-1] = (edges[:, :-1] < edges[:, 1:]) & flag(rows, counts)
+        # row by row, keep changes at a run's first lo and then its last hi
+        ends = edges[keep[:, 1:] != keep[:, :-1]]
+        los.append(ends[0::2])
+        his.append(ends[1::2])
     return np.concatenate(los), np.concatenate(his)
 
 
-def _union(*pieces):
-    """Sorted disjoint union of closed (lo, hi) pieces; touching ones merge."""
+def _per_level(window, n):
+    """One window as the bounds of each of n levels."""
+    return np.full(n, window[0]), np.full(n, window[1])
+
+
+def _gaps(window, *pieces):
+    """Complement inside the window of the union of closed (lo, hi) pieces."""
     lo = np.concatenate([p[0] for p in pieces])
-    hi = np.concatenate([p[1] for p in pieces])
-    if lo.size == 0:
-        return lo, hi
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    reach = np.maximum.accumulate(hi[order])
-    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
-    return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
+    order = lo.argsort(kind="stable")
+    # a gap opens wherever a piece starts past the reach of those before it
+    reach = np.maximum.accumulate(np.concatenate([p[1] for p in pieces])[order])
+    lo = np.concatenate((lo[order], [window[1]]))
+    hi = np.concatenate(([window[0]], reach))
+    keep = hi < lo
+    return hi[keep], lo[keep]
 
 
-def _gaps(bad, window):
-    """Complement of a sorted disjoint union inside the window."""
-    lo = np.concatenate(([window[0]], bad[1]))
-    hi = np.concatenate((bad[0], [window[1]]))
-    keep = lo < hi
-    return lo[keep], hi[keep]
+def _below_hull(a, b, levels, two, window):
+    """Per level, the hull inside the window of {x : some score < level}.
+
+    The scores are those of the lines (a, b), both signs under two-sided
+    testing.  Each edge of a nonempty hull is a line's crossing with the
+    level or an edge of the window, so cutting a level only inside its hull
+    leaves every cell there as it was.  An empty hull comes back with
+    lo >= hi.
+    """
+    flat = a == 0.0
+    under = None
+    if flat.any():
+        # a flat score below the level is below it everywhere
+        under = levels > (np.abs(b[flat]) if two else b[flat]).min()
+        a, b = a[~flat], b[~flat]
+    cross = (levels[:, None] - b) / a
+    lo = np.minimum.reduce(cross, axis=1, initial=_INF)
+    hi = np.maximum.reduce(cross, axis=1, initial=-_INF)
+    # under two-sided testing |s| < t between the crossings of s and -s;
+    # one-sided, a rising score is below the level left of its crossing
+    # and a falling one right of it
+    if not two and (a > 0.0).any():
+        lo[:] = -_INF
+    if not two and (a < 0.0).any():
+        hi[:] = _INF
+    if under is not None:
+        lo[under], hi[under] = -_INF, _INF
+    return np.maximum(lo, window[0]), np.minimum(hi, window[1])
 
 
-def _score_floor(a, b, window, two):
-    """Lower bound of min_h score_h(x) over the window."""
-    with np.errstate(invalid="ignore"):
-        ends = a[:, None] * np.asarray(window) + b[:, None]
-    ends[a == 0.0] = b[a == 0.0, None]
-    if not two:
-        return ends.min()
-    if np.any(ends[:, 0] * ends[:, 1] <= 0.0):
-        return 0.0
-    return np.abs(ends).min()
-
-
-def _member(rows, inside, m):
-    """0/1 weights of the lines whose source row is in ``inside``."""
-    mask = np.zeros(m, dtype=int)
-    mask[inside] = 1
-    return mask[rows]
+def _member(inside, m, two):
+    """Mask of the lines of :func:`_lines` whose score is one in ``inside``."""
+    mask = np.zeros(m, dtype=bool)
+    mask[inside] = True
+    return np.concatenate((mask, mask)) if two else mask
 
 
 def _count_step_down(a, b, t, event, two):
@@ -334,24 +386,28 @@ def _count_step_down(a, b, t, event, two):
         window = _quiet_window(a, b, comp, t[k] if k < m else _INF, two)
         if window is None:
             return _NOTHING
-        la, lb, _ = _lines(a, b, inside, two)
+        la, lb = _lines(a, b, two, inside)
         need = np.arange(1, k + 1)
-        bad = _flagged(la, lb, t[:k], lambda rows, n: n[0] < need[rows, None], window)
-        return _gaps(_union(bad), window)
-    # step j either passes or every required score already clears t_j,
-    # which holds on the whole window for t_j at or below the score floor
+        bad = _flagged(
+            la, lb, t[:k], lambda rows, n: n[0] < need[rows, None], _per_level(window, k)
+        )
+        return _gaps(window, bad)
+    # step j either passes or every required score already clears t_j, so
+    # level j is cut only where some required score is below t_j
     window = _EVERYWHERE if two else _window(-a[inside], -b[inside], -t[-1], False)
     if window is None:
         return _NOTHING
-    levels = t[t > _score_floor(a[inside], b[inside], window, two)]
-    la, lb, rows_of = _lines(a, b, range(m), two)
-    need = np.arange(1, levels.size + 1)
+    la, lb = _lines(a, b, two)
+    mine = _member(inside, m, two)
+    w_lo, w_hi = _below_hull(la[mine], lb[mine], t, two, window)
+    live = w_lo < w_hi
+    need = np.flatnonzero(live) + 1
 
     def bad_step(rows, n):
         return (n[0] < need[rows, None]) & (n[1] < k)
 
-    bad = _flagged(la, lb, levels, bad_step, window, _member(rows_of, inside, m))
-    return _gaps(_union(bad), window)
+    bad = _flagged(la, lb, t[live], bad_step, (w_lo[live], w_hi[live]), mine)
+    return _gaps(window, bad)
 
 
 def _count_step_up(a, b, t, event, two):
@@ -366,23 +422,27 @@ def _count_step_up(a, b, t, event, two):
         window = _quiet_window(a, b, comp, u[k - 1], two)
         if window is None:
             return _NOTHING
-        sa, sb, _ = _lines(a, b, inside, two)
-        ca, cb, _ = _lines(a, b, comp, two)
+        sa, sb = _lines(a, b, two, inside)
+        ca, cb = _lines(a, b, two, comp)
         need = np.arange(1, m - k + 1)
-        bad_s = _flagged(sa, sb, u[k - 1 : k], lambda rows, n: n[0] < k, window)
-        bad_c = _flagged(ca, cb, u[k:], lambda rows, n: n[0] >= need[rows, None], window)
-        return _gaps(_union(bad_s, bad_c), window)
+        bad_s = _flagged(sa, sb, u[k - 1 : k], lambda rows, n: n[0] < k, _per_level(window, 1))
+        bad_c = _flagged(
+            ca, cb, u[k:], lambda rows, n: n[0] >= need[rows, None], _per_level(window, m - k)
+        )
+        return _gaps(window, bad_s, bad_c)
     # R is selected as soon as some r has N_{u_r} >= r with R at or above u_r
     window = _EVERYWHERE if two else _window(-a[inside], -b[inside], -u[-1], False)
     if window is None:
         return _NOTHING
-    la, lb, rows_of = _lines(a, b, range(m), two)
+    la, lb = _lines(a, b, two)
     need = np.arange(1, m + 1)
 
     def good(rows, n):
         return (n[0] >= need[rows, None]) & (n[1] >= k)
 
-    return _union(_flagged(la, lb, u, good, window, _member(rows_of, inside, m)))
+    admitted = _flagged(la, lb, u, good, _per_level(window, m), _member(inside, m, two))
+    # their union, as the complement of their gaps
+    return _gaps(_EVERYWHERE, _gaps(_EVERYWHERE, admitted))
 
 
 # ---------------------------------------------------------------------------

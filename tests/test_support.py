@@ -15,8 +15,18 @@ from conftest import (
 )
 from condinfer.stats_core import DegenerateSupportError, IntervalUnion
 from condinfer.support import (
+    _EVERYWHERE,
+    Decomposition,
     InconsistentEventError,
     SelectionEvent,
+    _below_hull,
+    _count_step_down,
+    _flagged,
+    _gaps,
+    _lines,
+    _member,
+    _per_level,
+    _window,
     conditional_support,
     decompose,
     membership_oracle,
@@ -390,8 +400,9 @@ def _factor_model(m, rng, n_signal, signal):
 
 def test_paper_scale_supports_match_independent_references():
     # m = 371 as in the paper's application: equal events endpoint by
-    # endpoint against the benchmark checker's closed form, and a one-sided
-    # superset event against the membership oracle
+    # endpoint against the benchmark checker's closed form, and superset
+    # events (every selected effect required, and the effect alone) against
+    # the membership oracle; two-sided Holm selects 8 effects of both signs
     checker = load_bench_module("checker")
     rng = np.random.default_rng(371)
     m = 371
@@ -402,6 +413,9 @@ def test_paper_scale_supports_match_independent_references():
         rule = checker.Rule("holm", 0.1, sided, m)
         selected = ci.select(x, spec).significant_set
         assert selected == rule.select(x) and selected
+        if sided == "two":
+            signs = np.sign(x[sorted(selected)])
+            assert len(selected) == 8 and signs.min() < 0.0 < signs.max()
         event = SelectionEvent.equal(selected)
         for s in sorted(selected):
             d = decompose(x, omega, s)
@@ -411,13 +425,126 @@ def test_paper_scale_supports_match_independent_references():
             for mine, theirs in zip(support.intervals, exact):
                 np.testing.assert_allclose(mine, theirs, rtol=1e-8, atol=1e-8)
             compared += 1
+            for required in (selected, [s]):
+                superset = SelectionEvent.superset(required)
+                assert_probes_match_oracle(d, spec, superset, conditional_support(d, spec, superset))
     assert compared >= 8
-    spec = ThresholdSpec("holm", 0.1, m, "one")
-    selected = sorted(ci.select(x, spec).significant_set)
-    event = SelectionEvent.superset(selected)
-    d = decompose(x, omega, selected[0])
-    support = conditional_support(d, spec, event)
-    assert_probes_match_oracle(d, spec, event, support)
+
+
+def _whole_window_superset(a, b, t, event, two):
+    """Step-down superset support with every level cut across the whole
+    window, instead of only where some required score is below it."""
+    m = t.size
+    inside = sorted(event.indices)
+    window = _EVERYWHERE if two else _window(-a[inside], -b[inside], -t[-1], False)
+    if window is None:
+        return np.empty(0), np.empty(0)
+    need = np.arange(1, m + 1)
+
+    def bad_step(rows, n):
+        return (n[0] < need[rows, None]) & (n[1] < len(inside))
+
+    la, lb = _lines(a, b, two)
+    bad = _flagged(la, lb, t, bad_step, _per_level(window, m), _member(inside, m, two))
+    return _gaps(window, bad)
+
+
+def assert_level_windows_change_nothing(a, b, spec, required):
+    """The step-down superset support of the lines (a, b) is bit-identical
+    to cutting every level across the whole window, and matches the oracle."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    d = Decomposition(s=0, x_s=0.0, z=b, omega_col=a)
+    event = SelectionEvent.superset(required)
+    t, two = thresholds_by_step(spec), spec.sided == "two"
+    got = _count_step_down(a, b, t, event, two)
+    want = _whole_window_superset(a, b, t, event, two)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (got, want)
+    assert_probes_match_oracle(d, spec, event, merge_intervals(zip(*got)))
+    return got
+
+
+def test_level_windows_match_whole_window_cuts_on_random_instances():
+    # degenerate geometry planted as in the oracle tests: flat lines, ties,
+    # |rho| = 1 and statistics exactly at a critical value
+    rng = np.random.default_rng(19)
+    done = 0
+    while done < 300:
+        spec = random_spec(int(rng.integers(1, 9)), rng)
+        if spec.procedure != STEP_DOWN:
+            continue
+        done += 1
+        x, omega = _degenerate_instance(spec, rng)
+        s = int(rng.integers(spec.m))
+        d = decompose(x, omega, s)
+        required = [h for h in range(spec.m) if h == s or rng.random() < 0.4]
+        assert_level_windows_change_nothing(d.omega_col, d.z, spec, required)
+
+
+def test_level_window_is_whole_window_for_opposite_slopes():
+    # one-sided, one required score rising and one falling: at every level
+    # the rising one is below it far left and the falling one far right, so
+    # the level is cut across the whole window
+    spec = ThresholdSpec("holm", 0.1, 3, "one")
+    a, b = np.array([1.0, -0.5, 0.3]), np.array([0.0, 4.0, 1.0])
+    t = thresholds_by_step(spec)
+    window = _window(-a[:2], -b[:2], -t[-1], False)
+    lo, hi = _below_hull(a[:2], b[:2], t, False, window)
+    assert np.all(lo == window[0]) and np.all(hi == window[1])
+    lo, hi = assert_level_windows_change_nothing(a, b, spec, [0, 1])
+    assert lo.size
+
+
+@pytest.mark.parametrize("sided", ["one", "two"])
+def test_level_window_of_flat_required_score(sided):
+    # a flat required score between t_1 and t_2 is below level 1 everywhere
+    # and clears levels 2 and 3 everywhere, so only level 1 is cut across
+    # the whole window; the other levels are cut as for x alone
+    spec = ThresholdSpec("holm", 0.1, 3, sided)
+    t = thresholds_by_step(spec)
+    flat = 0.5 * (t[0] + t[1]) * (1.0 if sided == "one" else -1.0)
+    a, b = np.array([1.0, 0.0, 0.4]), np.array([0.0, flat, 0.5])
+    la, lb = _lines(a[:2], b[:2], sided == "two")
+    window = _EVERYWHERE if sided == "two" else _window(-a[:2], -b[:2], -t[-1], False)
+    lo, hi = _below_hull(la, lb, t, sided == "two", window)
+    assert (lo[0], hi[0]) == window
+    alone = _below_hull(*_lines(a[:1], b[:1], sided == "two"), t, sided == "two", window)
+    assert np.array_equal(lo[1:], alone[0][1:]) and np.array_equal(hi[1:], alone[1][1:])
+    assert_level_windows_change_nothing(a, b, spec, [0, 1])
+
+
+def test_level_windows_can_be_empty():
+    # with levels (2.5, 2, 2) the required score x clears 2 on the whole
+    # one-sided window [2, inf), so only level 1 is cut
+    spec = ThresholdSpec("fixed", 0.1, 3, "one", table=(2.5, 2.0, 2.0))
+    a, b = np.array([1.0, 0.5, -0.25]), np.array([0.0, 0.75, 2.0])
+    t = thresholds_by_step(spec)
+    lo, hi = _below_hull(a[:1], b[:1], t, False, _window(-a[:1], -b[:1], -t[-1], False))
+    assert list(lo < hi) == [True, False, False]
+    assert_level_windows_change_nothing(a, b, spec, [0])
+    # a flat required score that clears every level leaves no level to cut:
+    # the support is the whole line
+    spec = ThresholdSpec("holm", 0.1, 3, "two")
+    a, b = np.array([1.0, 0.0, 0.5]), np.array([0.0, -3.0, 0.2])
+    t = thresholds_by_step(spec)
+    lo, hi = _below_hull(*_lines(a[1:2], b[1:2], True), t, True, _EVERYWHERE)
+    assert not np.any(lo < hi)
+    got = assert_level_windows_change_nothing(a, b, spec, [1])
+    assert got[0].tolist() == [-INF] and got[1].tolist() == [INF]
+
+
+def test_crossings_exactly_at_level_window_edges():
+    # levels (3, 2, 1, 1): the required score x is below level 1 on the
+    # window [1, 3); a second line meets level 1 exactly at x = 3 and a
+    # third exactly at x = 1, both window edges (dyadic, so exact)
+    spec = ThresholdSpec("fixed", 0.1, 4, "one", table=(3.0, 2.0, 1.0, 1.0))
+    a, b = np.array([1.0, 0.5, 0.5, -0.5]), np.array([0.0, 1.5, 2.5, 1.5])
+    t = thresholds_by_step(spec)
+    window = _window(-a[:1], -b[:1], -t[-1], False)
+    lo, hi = _below_hull(a[:1], b[:1], t, False, window)
+    assert (lo[0], hi[0]) == (1.0, 3.0)
+    assert (t[0] - b[1]) / a[1] == 3.0 and (t[0] - b[2]) / a[2] == 1.0
+    assert_level_windows_change_nothing(a, b, spec, [0])
+    assert_level_windows_change_nothing(-a, b + 4.0 * a, spec, [0])
 
 
 def test_traced_names_exist_and_are_looked_up():
