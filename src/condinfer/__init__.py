@@ -30,9 +30,7 @@ from .stats_core import (
     IntervalUnion,
     TruncatedGaussian,
     invert_truncated_mu,
-    normal_cdf,
     normal_quantile,
-    normal_sf,
     truncated_cdf,
 )
 from .support import (
@@ -87,9 +85,7 @@ __all__ = [
     "membership_oracle",
     "membership_profile",
     "merge_intervals",
-    "normal_cdf",
     "normal_quantile",
-    "normal_sf",
     "save_bootstrap_draws",
     "select",
     "simulate_design",

@@ -76,6 +76,8 @@ class DesignConfig:
             raise ValueError(f"unknown event {self.event!r}")
         if not 0 <= self.target < m:
             raise ValueError("target index out of range")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
     @property
     def m(self) -> int:

@@ -1,13 +1,15 @@
-"""Tail-stable normal primitives and truncated-Gaussian inversion.
+"""Log-space truncated-Gaussian evaluation and inversion.
 
 The inference pipeline reduces to one numeric task: evaluate the CDF of a
 standard Gaussian with shifted mean, truncated to a union of disjoint
-intervals, and invert that CDF in the mean parameter.  The inversion is one
-vectorised log-space kernel over a batch of (statistic, support, target)
-problems, with no cap on how far a root may lie from its statistic (next
-to a support endpoint, thousands of standard deviations is a real answer);
-a problem whose truncated mass vanishes in doubles fails alone.  Everything
-here is a pure function of its arguments.
+intervals, and invert that CDF in the mean parameter.  One evaluator gives
+the log masses below and above the statistic, each from its smaller tail,
+and serves both :func:`truncated_cdf` and the inversion kernel, which
+solves a batch of (statistic, support, target) problems at once with no cap
+on how far a root may lie from its statistic (next to a support endpoint,
+thousands of standard deviations is a real answer); a problem whose
+truncated mass vanishes in doubles fails alone.  Everything here is a pure
+function of its arguments.
 """
 
 from __future__ import annotations
@@ -18,12 +20,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-_SQRT2 = math.sqrt(2.0)
 _INF = math.inf
 _STANDARD_NORMAL = NormalDist()
-
-#: Total truncated mass below this floor is treated as numerically zero.
-MASS_FLOOR = 1e-300
 
 #: Convergence tolerance of the mean inversion: the final bracket is at most
 #: ``max(MU_TOL, MU_RTOL * |mu|)`` wide.  The relative part only matters
@@ -48,27 +46,8 @@ class BoundaryStatisticError(ValueError):
     """
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF with full relative accuracy in both tails.
-
-    Evaluated through the complementary error function; the upper tail is
-    never formed as ``1 - cdf``, so values like ``normal_cdf(-8)`` keep
-    their leading digits instead of rounding against 1.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"normal_cdf requires finite x, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_sf(x: float) -> float:
-    """Upper tail probability P(Z >= x), tail-stable like :func:`normal_cdf`."""
-    if not math.isfinite(x):
-        raise ValueError(f"normal_sf requires finite x, got {x!r}")
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse of :func:`normal_cdf` on (0, 1)."""
+    """Inverse of the standard normal CDF on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires p in (0, 1), got {p!r}")
     return _STANDARD_NORMAL.inv_cdf(p)
@@ -149,55 +128,6 @@ class TruncatedGaussian:
         if self.support.is_empty:
             raise ValueError("truncation support must be nonempty")
 
-    def cdf(self, x: float) -> float:
-        return truncated_cdf(x, self)
-
-
-def _interval_mass(a: float, b: float) -> float:
-    """Standard normal mass of the shifted interval [a, b], a <= b.
-
-    The difference is taken between complementary tail probabilities on the
-    side of smaller mass (switching at the shifted midpoint) so the result
-    never suffers catastrophic cancellation against 1.
-    """
-    if a == b:
-        return 0.0
-    if a == -_INF and b == _INF:
-        return 1.0
-    if a == -_INF:
-        return normal_cdf(b)
-    if b == _INF:
-        return normal_sf(a)
-    if a + b > 0.0:
-        mass = normal_sf(a) - normal_sf(b)
-    else:
-        mass = normal_cdf(b) - normal_cdf(a)
-    return max(mass, 0.0)
-
-
-def truncated_cdf(x: float, dist: TruncatedGaussian) -> float:
-    """CDF of a truncated Gaussian at ``x``.
-
-    Returns the mass of ``support ∩ (-inf, x]`` over the total support mass,
-    both under N(mu, 1).  Raises :class:`DegenerateSupportError` when the
-    total mass underflows ``MASS_FLOOR`` (the conditioning event is
-    effectively impossible under this mean).
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"truncated_cdf requires finite x, got {x!r}")
-    mu = dist.mu
-    num = 0.0
-    den = 0.0
-    for lo, hi in dist.support:
-        den += _interval_mass(lo - mu, hi - mu)
-        if x > lo:
-            num += _interval_mass(lo - mu, min(hi, x) - mu)
-    if den < MASS_FLOOR:
-        raise DegenerateSupportError(
-            f"total truncated mass underflowed ({den!r}) at mu={mu!r}"
-        )
-    return min(max(num / den, 0.0), 1.0)
-
 
 #: Cody's (1969) rational approximations of the normal CDF, one row per
 #: range of |x|: numerator and denominator coefficients, highest degree
@@ -273,6 +203,46 @@ def _log_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return log_upper + np.log1p(-np.exp(log_lower - log_upper))
 
 
+def _log_masses_around(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Split row i's intervals [lo_ik, hi_ik] (padded with empty ones,
+    lo == hi) at x_i.  The function returned maps the means to rows
+    (log L, log U): the log masses under N(mu_i, 1) below and above x_i,
+    so F = 1 / (1 + exp(log U - log L)), with NaN log odds where both vanish."""
+    cut = np.clip(x[:, None], lo, hi)
+    # below-x and above-x pieces of every interval: shape (problem, 2, k)
+    starts = np.stack((lo, cut), axis=1)
+    ends = np.stack((cut, hi), axis=1)
+
+    def log_masses(mu: np.ndarray) -> np.ndarray:
+        shift = mu[:, None, None]
+        return np.logaddexp.reduce(_log_mass(starts - shift, ends - shift), axis=-1).T
+
+    return log_masses
+
+
+def truncated_cdf(x: float, dist: TruncatedGaussian) -> float:
+    """CDF of a truncated Gaussian at ``x``.
+
+    The mass of ``support ∩ (-inf, x]`` over the total support mass, both
+    under N(mu, 1), evaluated in log space by the inversion kernel's
+    evaluator.  Raises :class:`DegenerateSupportError` where the kernel
+    does: when the masses below and above ``x`` both vanish in doubles (the
+    conditioning event is effectively impossible under this mean).
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"truncated_cdf requires finite x, got {x!r}")
+    lo, hi = np.array(dist.support.intervals).T[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_masses = _log_masses_around(np.array([x]), lo, hi)
+        (log_below,), (log_above,) = log_masses(np.array([dist.mu]))
+        log_odds = log_above - log_below
+        if math.isnan(log_odds):
+            raise DegenerateSupportError(
+                f"truncated mass vanished in log space at mu={dist.mu!r}"
+            )
+        return float(1.0 / (1.0 + np.exp(log_odds)))
+
+
 def _invert_batch(
     x: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -294,17 +264,12 @@ def _invert_batch(
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    cut = np.clip(x[:, None], lo, hi)
-    # below-x and above-x pieces of every interval: shape (problem, 2, k)
-    starts = np.stack((lo, cut), axis=1)
-    ends = np.stack((cut, hi), axis=1)
     target = np.log1p(-p) - np.log(p)
     code = np.where(((lo < x[:, None]) & (x[:, None] < hi)).any(axis=1), _SOLVED, _BOUNDARY)
+    log_masses = _log_masses_around(x, lo, hi)
 
     def g(mu):
-        shift = mu[:, None, None]
-        log_masses = _log_mass(starts - shift, ends - shift)
-        log_below, log_above = np.logaddexp.reduce(log_masses, axis=-1).T
+        log_below, log_above = log_masses(mu)
         return log_above - log_below - target
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -63,31 +63,48 @@ def random_selected_instance(rng, m_lo=2, m_hi=8, families=None):
             return x, omega, spec, outcome
 
 
+def _mp_cdf(mp, x, intervals):
+    """The CDF at x of N(mu, 1) truncated to the union of ``intervals``, and
+    its complement, as a function of mu, at mpmath's working precision."""
+    x = mp.mpf(x)
+    ends = [(mp.mpf(lo), mp.mpf(hi)) for lo, hi in intervals]
+
+    def mass(a, b):
+        # the smaller-tail side keeps its digits far out
+        if a + b < 0:
+            return mp.ncdf(b) - mp.ncdf(a)
+        return mp.ncdf(-a) - mp.ncdf(-b)
+
+    def cdf(mu):
+        below = sum(mass(lo - mu, min(hi, x) - mu) for lo, hi in ends if lo < x)
+        above = sum(mass(max(lo, x) - mu, hi - mu) for lo, hi in ends if hi > x)
+        return below / (below + above), above / (below + above)
+
+    return cdf
+
+
+def mp_truncated_cdf(x, intervals, mu):
+    """The truncated CDF at x and its complement, from a 60-digit mpmath
+    evaluation, as floats."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        below, above = _mp_cdf(mp, x, intervals)(mp.mpf(mu))
+        return float(below), float(above)
+
+
 def mp_truncated_root(x, intervals, p):
     """Mean at which the truncated CDF of x equals p, by bisection on a
     60-digit mpmath evaluation; the bracket doubles away from x."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(60):
+        cdf = _mp_cdf(mp, x, intervals)
         x, p = mp.mpf(x), mp.mpf(p)
-        ends = [(mp.mpf(lo), mp.mpf(hi)) for lo, hi in intervals]
-
-        def mass(a, b):
-            # the smaller-tail side keeps its digits far out
-            if a + b < 0:
-                return mp.ncdf(b) - mp.ncdf(a)
-            return mp.ncdf(-a) - mp.ncdf(-b)
-
-        def cdf(mu):
-            total = sum(mass(lo - mu, hi - mu) for lo, hi in ends)
-            below = sum(mass(lo - mu, min(hi, x) - mu) for lo, hi in ends if lo < x)
-            return below / total
-
-        step = 1 if cdf(x) > p else -1
+        step = 1 if cdf(x)[0] > p else -1
         near, far = x, x + step
-        while (cdf(far) > p) == (step > 0):
+        while (cdf(far)[0] > p) == (step > 0):
             near, far, step = far, far + 2 * step, 2 * step
         lo, hi = min(near, far), max(near, far)
         while hi - lo > mp.mpf(10) ** -30 * (1 + abs(lo)):
             mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if cdf(mid) > p else (lo, mid)
+            lo, hi = (mid, hi) if cdf(mid)[0] > p else (lo, mid)
         return float((lo + hi) / 2)

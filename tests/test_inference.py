@@ -19,6 +19,8 @@ from condinfer.stats_core import (
     invert_truncated_mu,
     normal_quantile,
     truncated_cdf,
+    _SOLVED,
+    _invert_supports,
 )
 from condinfer.support import SelectionEvent, conditional_support, decompose
 from condinfer.testing import ThresholdSpec, step_down_select
@@ -244,9 +246,7 @@ def test_known_v_conditional_coverage_and_median_unbiasedness():
     spec = ThresholdSpec("holm", 0.1, m, "two")
     target = frozenset({0})
     event = SelectionEvent.equal(target)
-    covered = []
-    above = []
-    transforms = []
+    x_obs, supports, transforms = [], [], []
     for _ in range(4000):
         x = mu + chol @ rng.standard_normal(m)
         if step_down_select(x, spec).significant_set != target:
@@ -254,9 +254,14 @@ def test_known_v_conditional_coverage_and_median_unbiasedness():
         d = decompose(x, omega, 0)
         support = conditional_support(d, spec, event)
         transforms.append(truncated_cdf(d.x_s, TruncatedGaussian(mu[0], support)))
-        lo, ub, hi = invert_truncated_mu(d.x_s, support, (0.95, 0.5, 0.05))
-        covered.append(lo <= mu[0] <= hi)
-        above.append(ub >= mu[0])
+        x_obs.append(d.x_s)
+        supports.append(support.intervals)
+    # every draw's three targets in one kernel call; any unsolved root fails
+    roots, code = _invert_supports(x_obs, supports, (0.95, 0.5, 0.05))
+    assert (code == _SOLVED).all()
+    lo, ub, hi = roots.T
+    covered = (lo <= mu[0]) & (mu[0] <= hi)
+    above = ub >= mu[0]
     n = len(covered)
     assert n > 300
     se_cov = math.sqrt(0.9 * 0.1 / n)

@@ -45,6 +45,9 @@ def test_config_validation():
         DesignConfig(design="chisq", rho=-0.1)
     with pytest.raises(ValueError):
         DesignConfig(event="sometimes")
+    for alpha in (0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            DesignConfig(alpha=alpha)
     assert DesignConfig(n=100).resolved_reps == 20000
     assert DesignConfig(n=300).resolved_reps == 5000
     assert DesignConfig(n=300, reps=77).resolved_reps == 77

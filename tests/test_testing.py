@@ -25,12 +25,12 @@ from condinfer.testing import (
 
 
 def bisect_quantile(p, lo=-10.0, hi=10.0):
-    """Independent quantile oracle: bisection on the normal CDF."""
-    from condinfer.stats_core import normal_cdf
+    """Independent quantile oracle: bisection on scipy's normal CDF."""
+    from scipy.special import ndtr
 
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
+        if ndtr(mid) < p:
             lo = mid
         else:
             hi = mid
