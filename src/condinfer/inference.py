@@ -165,7 +165,8 @@ def infer_significant(
     its containment) and inverts the truncated-Gaussian distribution of the
     selected statistic at p = 1 - a/2, 0.5 and a/2, where a = alpha / |S| in
     ``joint`` mode and alpha otherwise.  Supports are found effect by
-    effect (on ``workers`` threads when more than one is asked for), then
+    effect (on ``workers`` threads, by default ``$CONDINFER_WORKERS`` or 1;
+    fewer than 1 raises ``ValueError``), then
     every effect's roots are solved in one call of the inversion kernel; an
     effect whose support or inversion fails is flagged alone.  Results come
     back in effect-index order; the naive fields always use the unadjusted
@@ -175,6 +176,10 @@ def infer_significant(
         raise ValueError(f"unknown event kind {event_kind!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if workers is None:
+        workers = int(os.environ.get(_WORKERS_ENV, "1"))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     x, omega, sd = studentize(estimates)
     selected = sorted(select(x, spec).significant_set)
     if not selected:
@@ -193,8 +198,6 @@ def infer_significant(
         except (DegenerateSupportError, InconsistentEventError) as exc:
             return exc
 
-    if workers is None:
-        workers = int(os.environ.get(_WORKERS_ENV, "1"))
     if workers > 1 and len(selected) > 1:
         from concurrent.futures import ThreadPoolExecutor
 

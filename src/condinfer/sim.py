@@ -131,15 +131,6 @@ class SimulationSummary:
     coverage_cond_se: float | None
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    # counter-based generator keyed by (seed, replication) so serial and
-    # parallel execution draw identical streams; _block_estimates draws the
-    # same streams through testing.keyed_streams
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-    )
-
-
 def _equicorr_cholesky(m: int, rho: float) -> np.ndarray:
     matrix = np.full((m, m), rho)
     np.fill_diagonal(matrix, 1.0)

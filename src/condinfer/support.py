@@ -31,9 +31,14 @@ line's crossing with every level still costs O(m²) per support, but only
 the lines that cross some level inside its window are sorted and counted,
 and on the paper's inputs those are few.
 
-The ``bootstrap`` thresholds depend on the set of remaining hypotheses, so
-its support is found cell by cell between the points where the ordering of
-the scores can change.
+The ``bootstrap`` thresholds x̄(A) depend on the set A of remaining
+hypotheses, so its support follows the step-down walk itself.  A window
+comes first, from the count engine's helpers: under ``equal(S)`` every
+other score stays below x̄(comp); under a one-sided ``superset(R)`` every
+required score clears x̄({h}).  The walked lines' order is fixed between
+the points where two of them (or, two-sided, one and the other's mirror or
+zero) cross, so in each such cell one walk in that order cuts the cell to
+the x where every step's score clears its threshold.
 """
 
 from __future__ import annotations
@@ -446,7 +451,7 @@ def _count_step_up(a, b, t, event, two):
 
 
 # ---------------------------------------------------------------------------
-# per-cell reference (set-dependent bootstrap thresholds)
+# bootstrap path (set-dependent thresholds; membership_oracle is the reference)
 # ---------------------------------------------------------------------------
 
 
@@ -521,142 +526,54 @@ def _partition(
     return los, his, reps
 
 
-def _apply_linear(
-    lohi: tuple[float, float] | None,
-    a_h: float,
-    b_h: float,
-    target: float,
-    geq: bool,
-) -> tuple[float, float] | None:
-    """Intersect a cell with {x : a x + b >= target} (or <=)."""
-    if lohi is None:
-        return None
-    lo, hi = lohi
-    if a_h == 0.0:
-        ok = b_h >= target if geq else b_h <= target
-        return lohi if ok else None
-    bound = (target - b_h) / a_h
-    if geq == (a_h > 0.0):
-        lo = max(lo, bound)
-    else:
-        hi = min(hi, bound)
-    return (lo, hi) if lo <= hi else None
-
-
-def _require_ge(lohi, a_h, b_h, v_h, t, two_sided):
-    """Cell restriction for 'statistic significant at critical value t'."""
-    if not two_sided:
-        return _apply_linear(lohi, a_h, b_h, t, True)
-    if v_h > 0.0:
-        return _apply_linear(lohi, a_h, b_h, t, True)
-    if v_h < 0.0:
-        return _apply_linear(lohi, a_h, b_h, -t, False)
-    return None  # |value| == 0 on this cell can never clear t > 0
-
-
-def _cell_sd_equal(lohi, v, a, b, ordered_s, comp, spec, two):
-    # the window already keeps every other statistic below x̄(comp)
-    cur = lohi
-    for rank, h in enumerate(ordered_s):
-        t = threshold_value(spec, list(ordered_s[rank:]) + comp)
-        cur = _require_ge(cur, a[h], b[h], v[h], t, two)
-        if cur is None:
-            return None
-    return cur
-
-
-def _cell_sd_superset(lohi, v, score, a, b, required, spec, two):
-    order = sorted(range(spec.m), key=lambda h: (-score[h], h))
-    rank_of = {h: r for r, h in enumerate(order)}
-    j_star = max(rank_of[h] for h in required)
-    cur = lohi
-    for j in range(j_star + 1):
-        h = order[j]
-        t = threshold_value(spec, order[j:])
-        cur = _require_ge(cur, a[h], b[h], v[h], t, two)
-        if cur is None:
-            return None
-    return cur
-
-
-def _pieces_cellwise(a, b, los, his, reps, spec, event):
-    """Per-cell evaluation of a step-down walk with set-dependent thresholds."""
-    two = spec.sided == "two"
-    indices = sorted(event.indices)
-    comp = [h for h in range(spec.m) if h not in event.indices]
-    pieces: list[tuple[float, float]] = []
-    for lo0, hi0, t in zip(los, his, reps):
-        v = a * t + b
-        score = np.abs(v) if two else v
-        if event.kind == "equal":
-            ordered_s = sorted(indices, key=lambda h: (-score[h], h))
-            cell = _cell_sd_equal((lo0, hi0), v, a, b, ordered_s, comp, spec, two)
-        else:
-            cell = _cell_sd_superset((lo0, hi0), v, score, a, b, indices, spec, two)
-        if cell is not None:
-            pieces.append(cell)
-    return pieces
-
-
-def _initial_window(a, b, spec, event):
-    """Necessary linear restrictions on x_s, folded into one interval.
-
-    Every returned bound is implied by membership, so clipping the cells to
-    this window never changes the computed support.  Restrictions that are
-    not convex in x_s (two-sided significance of a required effect) are
-    skipped.
-    """
-    lo, hi = -_INF, _INF
-    empty = False
-    two = spec.sided == "two"
-    indices = sorted(event.indices)
-    comp = [h for h in range(spec.m) if h not in event.indices]
-
-    def clip(a_h, b_h, t, geq):
-        nonlocal lo, hi, empty
-        if a_h > 0.0:
-            if geq:
-                lo = max(lo, (t - b_h) / a_h)
-            else:
-                hi = min(hi, (t - b_h) / a_h)
-        elif a_h < 0.0:
-            if geq:
-                hi = min(hi, (t - b_h) / a_h)
-            else:
-                lo = max(lo, (t - b_h) / a_h)
-        elif (b_h < t) if geq else (b_h > t):
-            empty = True
-
-    if event.kind == "equal":
-        if comp:
-            t0 = threshold_value(spec, comp)
-            for h in comp:
-                clip(a[h], b[h], t0, geq=False)
-                if two:
-                    clip(a[h], b[h], -t0, geq=True)
-        if not two:
-            t_crit = min(threshold_value(spec, [h] + comp) for h in indices)
-            for h in indices:
-                clip(a[h], b[h], t_crit, geq=True)
-    elif not two:
-        for h in indices:
-            clip(a[h], b[h], threshold_value(spec, [h]), geq=True)
-
-    if empty or lo > hi:
-        return 1.0, -1.0
-    return lo, hi
-
-
 def _cellwise(a, b, spec, event):
-    w_lo, w_hi = _initial_window(a, b, spec, event)
-    if w_lo > w_hi:
+    """Pieces of the bootstrap support: in each cell, one step-down walk.
+
+    ``equal(S)`` walks the S lines, the j-th against x̄ of the S lines from
+    it on plus comp; ``superset(R)`` walks all lines until it has passed the
+    last required one, the j-th against x̄ of the lines from it on.
+    """
+    two = spec.sided == "two"
+    inside = sorted(event.indices)
+    if event.kind == "equal":
+        rows, rest = inside, [h for h in range(spec.m) if h not in event.indices]
+        c = threshold_value(spec, rest) if rest else _INF
+        window = _quiet_window(a, b, np.asarray(rest, dtype=int), c, two)
+    else:
+        rows, rest = list(range(spec.m)), []
+        # a required score is tested at some x̄(A) >= x̄({h}), which bounds
+        # x on one side only when the score is not a magnitude
+        c = np.array([threshold_value(spec, [h]) for h in inside])
+        window = _EVERYWHERE if two else _window(-a[inside], c - b[inside], 0.0, False)
+    if window is None:
         return []
-    # lines outside an equal event's set face the constant x̄(comp), which
-    # the window already enforces, so only the order among S lines matters
-    rows = sorted(event.indices) if event.kind == "equal" else range(spec.m)
-    points = _breakpoints_brute(a, b, rows, spec.sided == "two", w_lo, w_hi)
-    los, his, reps = _partition(points, w_lo, w_hi)
-    return _pieces_cellwise(a, b, los, his, reps, spec, event)
+    los, his, probes = _partition(_breakpoints_brute(a, b, rows, two, *window), *window)
+    v = a * probes[:, None] + b
+    # a two-sided score of 0 gets sign 0, a flat line below every threshold
+    sign = np.sign(v) if two else np.ones_like(v)
+    # each cell's walk order: scores descending, ties by index as in select
+    ranked = np.asarray(rows)[np.argsort(-(sign * v)[:, rows], axis=1, kind="stable")]
+    a, b = a.tolist(), b.tolist()
+    pieces = []
+    for lo, hi, order, s in zip(los.tolist(), his.tolist(), ranked.tolist(), sign.tolist()):
+        left = len(inside)
+        for j, h in enumerate(order):
+            t = threshold_value(spec, order[j:] + rest)
+            # keep the x where s_h (a_h x + b_h) >= t
+            sa, sb = s[h] * a[h], s[h] * b[h]
+            if sa > 0.0:
+                lo = max(lo, (t - sb) / sa)
+            elif sa < 0.0:
+                hi = min(hi, (t - sb) / sa)
+            elif sb < t:
+                break
+            if lo > hi:
+                break
+            left -= h in event.indices
+            if not left:
+                pieces.append((lo, hi))
+                break
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +590,9 @@ def conditional_support(
     where a score meets a step threshold, and each cell is kept or dropped
     by counting the scores at or above the threshold (step-down ``equal``
     counts only the S lines inside the window the other lines leave).  The
-    ``bootstrap`` family is evaluated cell by cell between ordering
-    breakpoints.
+    ``bootstrap`` family walks the step-down procedure once per cell between
+    the ordering breakpoints of the walked lines, inside a window from the
+    same helpers (see the module docstring).
 
     Raises :class:`DegenerateSupportError` when the event admits no value at
     all, and :class:`InconsistentEventError` when the observed statistic is

@@ -213,6 +213,9 @@ def test_error_codes(tmp_path, capsys, single_effect):
     assert main(["simulate", "--reps", "5", "--alpha", "1.5"]) == 1
     assert "error code=E_INVALID" in capsys.readouterr().err
 
+    assert main(["infer", "--estimates", str(est), "--cov", str(cov), "--workers", "0"]) == 1
+    assert "error code=E_INVALID" in capsys.readouterr().err
+
 
 def test_bootstrap_procedure_requires_draws(single_effect, capsys):
     est, cov = single_effect

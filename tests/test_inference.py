@@ -235,6 +235,16 @@ def test_workers_give_identical_results():
         assert (a.ci_lo, a.ci_hi) == (b.ci_lo, b.ci_hi)
 
 
+def test_workers_below_one_rejected(monkeypatch):
+    e = EffectEstimates(np.array([3.2, 0.3]), np.eye(2))
+    spec = ThresholdSpec("holm", 0.1, 2, "two")
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        infer_significant(e, spec, workers=-2)
+    monkeypatch.setenv("CONDINFER_WORKERS", "0")
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        infer_significant(e, spec)
+
+
 def test_known_v_conditional_coverage_and_median_unbiasedness():
     # direct Gaussian draws with known covariance: conditional coverage and
     # the sign split of the corrected estimator are exact up to MC noise

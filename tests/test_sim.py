@@ -12,7 +12,6 @@ from condinfer.sim import (
     DesignConfig,
     RepRecord,
     _equicorr_cholesky,
-    _rep_rng,
     csv_header,
     csv_row,
     format_table,
@@ -31,6 +30,14 @@ from condinfer.support import (
     decompose,
 )
 from condinfer.testing import ThresholdSpec, keyed_streams, step_down_select
+
+
+def _rep_rng(seed: int, rep: int) -> np.random.Generator:
+    """Replication ``rep``'s stream as numpy keys it: a Philox generator
+    seeded by (seed, rep), the reference for ``keyed_streams``."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+    )
 
 
 def test_config_validation():

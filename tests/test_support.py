@@ -37,7 +37,7 @@ from condinfer.testing import (
     STEP_DOWN,
     STEP_UP,
     ThresholdSpec,
-    step_down_select,
+    threshold_value,
     thresholds_by_step,
     wild_bootstrap_draws,
 )
@@ -103,7 +103,8 @@ CARDINALITY_FAMILIES = ("holm", "bonferroni", "sidak", "sidak_holm", "fdp", "fix
 def _degenerate_instance(spec, rng):
     """Random statistics and correlations with degenerate geometry planted
     at random: lines of slope zero, |rho| = 1, a tie, and a statistic
-    exactly at a critical value (possibly on a flat line)."""
+    exactly at the critical value x̄(A) of a random subset A (possibly on a
+    flat line)."""
     m = spec.m
     omega = random_correlation(m, rng)
     x = rng.normal(0.0, 2.5, size=m)
@@ -119,8 +120,26 @@ def _degenerate_instance(spec, rng):
     if rng.random() < 0.3:  # tied scores
         x[h] = sign * x[g]
     if rng.random() < 0.3:  # exactly at a critical value
-        x[h] = sign * thresholds_by_step(spec)[int(rng.integers(m))]
+        x[h] = sign * threshold_value(spec, rng.permutation(m)[int(rng.integers(m)) :])
     return x, omega
+
+
+def _check_degenerate_support(spec, kind, rng):
+    """Probe-check the support of one planted-degenerate instance against
+    the oracle, for ``equal`` or a random required subset; False when the
+    instance selects nothing."""
+    x, omega = _degenerate_instance(spec, rng)
+    selected = sorted(ci.select(x, spec).significant_set)
+    if not selected:
+        return False
+    s = int(rng.choice(selected))
+    if kind == "equal":
+        event = SelectionEvent.equal(selected)
+    else:
+        event = SelectionEvent.superset([h for h in selected if h == s or rng.random() < 0.5])
+    d = decompose(x, omega, s)
+    assert_probes_match_oracle(d, spec, event, conditional_support(d, spec, event))
+    return True
 
 
 def test_decompose_examples():
@@ -346,47 +365,24 @@ def test_count_engine_matches_oracle_on_every_cardinality_family():
                     if family == "fixed" and rng.random() < 0.3:  # repeated levels
                         table = tuple(np.round(spec.table, 1))
                         spec = ThresholdSpec("fixed", spec.level, m, sided, table=table, procedure=procedure)
-                    x, omega = _degenerate_instance(spec, rng)
-                    selected = sorted(ci.select(x, spec).significant_set)
-                    if not selected:
-                        continue
-                    s = int(rng.choice(selected))
-                    if kind == "equal":
-                        event = SelectionEvent.equal(selected)
-                    else:
-                        event = SelectionEvent.superset(
-                            [h for h in selected if h == s or rng.random() < 0.5]
-                        )
-                    d = decompose(x, omega, s)
-                    support = conditional_support(d, spec, event)
-                    assert_probes_match_oracle(d, spec, event, support)
-                    done += 1
+                    done += _check_degenerate_support(spec, kind, rng)
                 checked[family, procedure, sided, kind] = done
     assert len(checked) == 9 * 2 * 2
 
 
-def test_bootstrap_equal_support_matches_oracle():
-    # equal events cut the line only where S lines cross each other, their
-    # mirrors or zero; the other lines face the constant x̄(comp)
+def test_bootstrap_support_matches_oracle():
+    # the walk's window and per-cell cuts on both sides and event kinds,
+    # with the same planted degenerate geometry as the count engine's test
     rng = np.random.default_rng(77)
-    done = {"one": 0, "two": 0}
-    while min(done.values()) < 12:
-        m = int(rng.integers(2, 7))
-        residuals = rng.standard_normal((30, m))
-        clusters = rng.integers(0, 6, size=30)
-        draws = wild_bootstrap_draws(residuals, clusters, 99, int(rng.integers(1e6)))
-        sided = ["one", "two"][int(rng.integers(2))]
-        spec = ThresholdSpec("bootstrap", 0.15, m, sided, draws=draws)
-        omega = random_correlation(m, rng)
-        x = rng.normal(0, 2.5, size=m)
-        selected = sorted(step_down_select(x, spec).significant_set)
-        if not selected:
-            continue
-        event = SelectionEvent.equal(selected)
-        d = decompose(x, omega, int(rng.choice(selected)))
-        support = conditional_support(d, spec, event)
-        assert_probes_match_oracle(d, spec, event, support)
-        done[sided] += 1
+    for sided in ("one", "two"):
+        for kind in ("equal", "superset"):
+            done = 0
+            while done < 30:
+                m = int(rng.integers(1, 8))
+                residuals, clusters = rng.standard_normal((30, m)), rng.integers(0, 6, size=30)
+                draws = wild_bootstrap_draws(residuals, clusters, 99, int(rng.integers(1e6)))
+                spec = ThresholdSpec("bootstrap", 0.15, m, sided, draws=draws)
+                done += _check_degenerate_support(spec, kind, rng)
 
 
 def _factor_model(m, rng, n_signal, signal):
@@ -586,6 +582,14 @@ def test_empty_support_is_degenerate():
     d = decompose(np.array([2.5, 0.5]), np.eye(2), 0)
     with pytest.raises(DegenerateSupportError):
         conditional_support(d, spec, SelectionEvent.equal([0, 1]))
+    # a flat unselected bootstrap statistic exactly at x̄ of the unselected
+    # set is rejected at every x_s, so equal({0}) admits nothing
+    rng = np.random.default_rng(1)
+    draws = wild_bootstrap_draws(rng.standard_normal((30, 2)), rng.integers(0, 6, size=30), 99, 5)
+    spec = ThresholdSpec("bootstrap", 0.15, 2, "one", draws=draws)
+    d = decompose(np.array([5.0, threshold_value(spec, [1])]), np.eye(2), 0)
+    with pytest.raises(DegenerateSupportError):
+        conditional_support(d, spec, SelectionEvent.equal([0]))
 
 
 def test_support_empty_equal_set_rejected():
