@@ -27,6 +27,9 @@ from .sim import DesignConfig, csv_header, csv_row, format_table, simulate_desig
 from .stats_core import DegenerateSupportError, IntervalUnion
 from .support import InconsistentEventError
 from .testing import (
+    FAMILIES,
+    STEP_DOWN,
+    STEP_UP,
     ThresholdSpec,
     load_bootstrap_draws,
     select,
@@ -282,17 +285,7 @@ def _add_procedure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--procedure",
         default="holm",
-        choices=[
-            "bonferroni",
-            "sidak",
-            "holm",
-            "sidak_holm",
-            "fdp",
-            "bh",
-            "by",
-            "bootstrap",
-            "fixed",
-        ],
+        choices=sorted(FAMILIES),
     )
     parser.add_argument("--sided", default="two", choices=["one", "two"])
     parser.add_argument(
@@ -309,8 +302,8 @@ def _add_procedure_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--step",
-        default="step_down",
-        choices=["step_down", "step_up"],
+        default=STEP_DOWN,
+        choices=(STEP_DOWN, STEP_UP),
         help="direction for --procedure fixed",
     )
 

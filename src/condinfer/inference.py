@@ -4,7 +4,11 @@ For each significant effect the observed t-statistic is referred to its
 truncated-Gaussian distribution given the selection event and the nuisance
 direction; inverting that distribution in the mean yields a conditionally
 median-unbiased estimate (p = 0.5) and an equal-tailed conditional
-confidence interval (p = 1 - alpha/2 and alpha/2).
+confidence interval (p = 1 - alpha/2 and alpha/2).  :func:`infer_significant`
+and :func:`~condinfer.sim.simulate_design` share one solve path: every
+selected (row, effect, event) problem gets its support, then all roots come
+from one call of the inversion kernel, and each failure stays with its own
+problem.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ class EffectEstimates:
         if self.theta_hat.ndim < 1:
             raise ValueError("theta_hat must be a vector")
         m = self.theta_hat.shape[-1]
+        if m == 0:
+            raise ValueError("estimates need at least one effect")
         if self.cov.shape != self.theta_hat.shape + (m,):
             raise ValueError(
                 f"cov must be {m} x {m}, got shape {self.cov.shape}"
@@ -105,6 +111,8 @@ def unconditional_ci(
     estimates: EffectEstimates, s: int, alpha: float
 ) -> tuple[float, float]:
     """Conventional equal-tailed interval theta_hat_s +/- sd_s z_{1-alpha/2}."""
+    if not 0 <= s < estimates.m:
+        raise ValueError(f"effect index {s} out of range for m={estimates.m}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     sd = math.sqrt(estimates.cov[s, s])
@@ -140,13 +148,41 @@ class ConditionalInference:
     error: str | None = None
 
 
-def _selected_support(
-    x: np.ndarray, omega: np.ndarray, s: int, spec: ThresholdSpec, event: SelectionEvent
-) -> tuple[float, IntervalUnion]:
-    """The statistic of effect s and its support given the event, for a
-    studentized ``omega``."""
-    d = _decompose(x, omega, s)
-    return d.x_s, conditional_support(d, spec, event)
+def _solve(x, omega, sd, problems, spec, alpha, workers=1):
+    """Support, roots at p = 1 - alpha/2, 1/2 and alpha/2 in effect units,
+    and error (or None) of each (row, effect, event) problem, for ``x``,
+    ``omega`` and ``sd`` studentized and stacked by row.  Supports are found
+    on ``workers`` threads, then every root comes from one kernel call.  A
+    failed problem has NaN roots (and support None if its support failed);
+    the others are unaffected.
+    """
+
+    def support_of(problem):
+        row, s, event = problem
+        try:
+            return conditional_support(_decompose(x[row], omega[row], s), spec, event)
+        except (DegenerateSupportError, InconsistentEventError) as exc:
+            return exc
+
+    if workers > 1 and len(problems) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            found = list(pool.map(support_of, problems))
+    else:
+        found = [support_of(problem) for problem in problems]
+    errors = [f if isinstance(f, Exception) else None for f in found]
+    solved = [(k, row, s) for k, (row, s, _) in enumerate(problems) if errors[k] is None]
+    stats = [float(x[row, s]) for _, row, s in solved]
+    mu, code = _invert_supports(
+        stats, [found[k].intervals for k, _, _ in solved], (1.0 - alpha / 2.0, 0.5, alpha / 2.0)
+    )
+    roots = np.full((len(problems), 3), math.nan)
+    for (k, row, s), x_s, row_mu, row_code in zip(solved, stats, mu, code):
+        errors[k] = _inversion_error(x_s, row_code)
+        if errors[k] is None:
+            roots[k] = sd[row, s] * row_mu
+    return [None if isinstance(f, Exception) else f for f in found], roots, errors
 
 
 def infer_significant(
@@ -164,10 +200,8 @@ def infer_significant(
     observed outcome (``equal``: the exact significant set; ``superset``:
     its containment) and inverts the truncated-Gaussian distribution of the
     selected statistic at p = 1 - a/2, 0.5 and a/2, where a = alpha / |S| in
-    ``joint`` mode and alpha otherwise.  Supports are found effect by
-    effect (on ``workers`` threads, by default ``$CONDINFER_WORKERS`` or 1;
-    fewer than 1 raises ``ValueError``), then
-    every effect's roots are solved in one call of the inversion kernel; an
+    ``joint`` mode and alpha otherwise.  ``workers`` defaults to
+    ``$CONDINFER_WORKERS`` or 1; fewer than 1 raises ``ValueError``.  An
     effect whose support or inversion fails is flagged alone.  Results come
     back in effect-index order; the naive fields always use the unadjusted
     alpha.  Returns an empty list when nothing is significant.
@@ -192,41 +226,14 @@ def infer_significant(
     )
     labels = estimates.labels or [None] * estimates.m
 
-    def support_of(s: int):
-        try:
-            return _selected_support(x, omega, s, spec, event)
-        except (DegenerateSupportError, InconsistentEventError) as exc:
-            return exc
-
-    if workers > 1 and len(selected) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(support_of, selected))
-    else:
-        found = [support_of(s) for s in selected]
-
-    # every effect's three roots in one call of the inversion kernel
-    solved = [f for f in found if not isinstance(f, Exception)]
-    mu, code = _invert_supports(
-        [x_s for x_s, _ in solved],
-        [support.intervals for _, support in solved],
-        (1.0 - alpha_eff / 2.0, 0.5, alpha_eff / 2.0),
+    supports, roots, errors = _solve(
+        x[None], omega[None], sd[None], [(0, s, event) for s in selected],
+        spec, alpha_eff, workers,
     )
-    inverted = iter(zip(mu, code))
     results = []
-    for s, outcome in zip(selected, found):
-        if isinstance(outcome, Exception):
-            error, support, roots = outcome, None, None
-        else:
-            x_s, support = outcome
-            roots, row_code = next(inverted)
-            error = _inversion_error(x_s, row_code)
-        mu_lo = mu_ub = mu_hi = math.nan
+    for s, support, (mu_lo, mu_ub, mu_hi), error in zip(selected, supports, roots, errors):
         flags, reason = (), None
-        if error is None:
-            mu_lo, mu_ub, mu_hi = sd[s] * roots
-        else:
+        if error is not None:
             flags = ("boundary" if isinstance(error, BoundaryStatisticError) else "degenerate",)
             reason = f"{type(error).__name__}: {error}"
         naive_lo, naive_hi = unconditional_ci(estimates, s, alpha)

@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .inference import EffectEstimates, _selected_support, studentize
-from .stats_core import _SOLVED, DegenerateSupportError, _invert_supports, normal_quantile
-from .support import InconsistentEventError, SelectionEvent
+from .inference import EffectEstimates, _solve, studentize
+from .stats_core import normal_quantile
+from .support import SelectionEvent
 
 # step_down_select stays importable here for tools that wrap it by this name
 from .testing import (  # noqa: F401
@@ -218,9 +218,8 @@ def simulate_design(cfg: DesignConfig) -> SimulationSummary:
     """Run every replication of a configuration as one batch and aggregate.
 
     Estimates are validated and studentized together and Holm selection
-    runs on all replications at once; supports are built only where the
-    target is selected, and all their endpoints (p = 1 - alpha/2, 1/2,
-    alpha/2) are solved in one call of the inversion kernel.  Streams are
+    runs on all replications at once; the replications that select the
+    target are solved together by the same path as ``infer``.  Streams are
     keyed by (seed, replication), so the result equals a one-at-a-time run.
     A replication whose support or inversion fails is counted in ``failures``.
     """
@@ -233,32 +232,20 @@ def simulate_design(cfg: DesignConfig) -> SimulationSummary:
     member = _batch_membership(x.T, spec)
     t = cfg.target
     selected = np.flatnonzero(member[t])
-
-    solved, x_s, supports = [], [], []
-    for r in selected:
-        event = (
-            SelectionEvent.superset([t])
-            if cfg.event == "superset"
-            else SelectionEvent.equal(np.flatnonzero(member[:, r]))
-        )
-        try:
-            stat, support = _selected_support(x[r], omega[r], t, spec, event)
-        except (DegenerateSupportError, InconsistentEventError):
-            continue
-        solved.append(r)
-        x_s.append(stat)
-        supports.append(support.intervals)
-    targets = (1.0 - cfg.alpha / 2.0, 0.5, cfg.alpha / 2.0)
-    mu, code = _invert_supports(x_s, supports, targets)
-    mu = mu * sd[solved, t][:, None]
-    ok = (code == _SOLVED).all(axis=1)
+    problems = [
+        (r, t, SelectionEvent.superset([t]) if cfg.event == "superset"
+         else SelectionEvent.equal(np.flatnonzero(member[:, r])))
+        for r in selected
+    ]
+    _, roots, errors = _solve(x, omega, sd, problems, spec, cfg.alpha)
+    ok = np.array([error is None for error in errors], dtype=bool)
 
     truth = cfg.theta[t]
-    rows = np.array(solved, dtype=int)[ok]
+    rows = selected[ok]
     center, scale = estimates.theta_hat[rows, t], sd[rows, t]
     naive = scale * normal_quantile(1.0 - cfg.alpha / 2.0)
     bonf = scale * normal_quantile(1.0 - cfg.alpha / cfg.m / 2.0)
-    ci_lo, estimate, ci_hi = mu[ok].T
+    ci_lo, estimate, ci_hi = roots[ok].T
     columns = {"cond_bias": estimate - truth, "naive_bias": center - truth}
     for name, lo, hi in (
         ("cond", ci_lo, ci_hi),

@@ -465,44 +465,17 @@ def _dedup_sorted(points: np.ndarray, tol: float = BREAKPOINT_TOL) -> np.ndarray
     return np.asarray(keep)
 
 
-def _breakpoints_brute(
-    a: np.ndarray,
-    b: np.ndarray,
-    rows: Sequence[int],
-    two_sided: bool,
-    w_lo: float,
-    w_hi: float,
-) -> np.ndarray:
-    """All ordering breakpoints among the given lines, clipped to the window.
-
-    Pairwise crossings always matter; under two-sided testing the ordering
-    of the magnitudes also changes where one line meets the mirror image of
-    another and where a line changes sign, so those abscissas are included
-    as well.
-    """
-    rows = np.asarray(list(rows), dtype=int)
-    chunks: list[np.ndarray] = []
-    if rows.size >= 2:
-        aa, bb = a[rows], b[rows]
-        i, j = np.triu_indices(rows.size, k=1)
-        da = aa[i] - aa[j]
-        nz = da != 0.0
-        chunks.append((bb[j] - bb[i])[nz] / da[nz])
-        if two_sided:
-            sa = aa[i] + aa[j]
-            nz = sa != 0.0
-            chunks.append(-(bb[i] + bb[j])[nz] / sa[nz])
-    if two_sided and rows.size:
-        aa, bb = a[rows], b[rows]
-        nz = aa != 0.0
-        chunks.append(-bb[nz] / aa[nz])
-    if not chunks:
-        return np.empty(0)
-    points = np.concatenate(chunks)
-    points = points[np.isfinite(points)]
-    points = points[(points > w_lo) & (points < w_hi)]
-    points.sort()
-    return _dedup_sorted(points)
+def _breakpoints_brute(a, b, rows, two, w_lo, w_hi):
+    """Every crossing of two of the rows' lines (:func:`_lines`) strictly
+    inside the window, sorted and deduplicated.  Under two-sided testing
+    these include a line meeting another's mirror and its own (a sign
+    change), where the ordering of the magnitudes changes."""
+    la, lb = _lines(a, b, two, np.asarray(rows, dtype=int))
+    i, j = np.triu_indices(la.size, k=1)
+    da = la[i] - la[j]
+    nz = da != 0.0
+    points = (lb[j] - lb[i])[nz] / da[nz]
+    return _dedup_sorted(np.unique(points[(points > w_lo) & (points < w_hi)]))
 
 
 def _partition(

@@ -54,6 +54,8 @@ def test_effect_estimates_validation():
         EffectEstimates(np.ones(2), np.eye(3))
     with pytest.raises(ValueError):
         EffectEstimates(np.ones(2), np.eye(2), labels=["only_one"])
+    with pytest.raises(ValueError, match="at least one effect"):
+        EffectEstimates(np.ones(0), np.ones((0, 0)))
 
 
 def test_unconditional_ci_examples():
@@ -71,6 +73,11 @@ def test_unconditional_ci_examples():
     e1 = EffectEstimates(np.array([5.0]), np.array([[4.0]]))
     lo1, hi1 = unconditional_ci(e1, 0, 0.05)
     assert hi1 - lo1 == pytest.approx(hi - lo, abs=1e-12)
+
+    # an index outside [0, m) is refused, not read from the other end
+    for s in (-1, 1):
+        with pytest.raises(ValueError, match="out of range"):
+            unconditional_ci(e1, s, 0.05)
 
 
 def test_infer_univariate_shrinks_toward_zero():

@@ -62,7 +62,8 @@ def grid_matches_oracle(d, spec, event, support, lo=-10.0, hi=10.0, n=2001):
 
 def probe_points(support, step=1e-7):
     """(x, expected membership): the midpoint of every interval and gap, and
-    a relative ``step`` outside every finite endpoint that has room."""
+    a relative ``step`` inside and outside every finite endpoint that has
+    room."""
     ivs = support.intervals
     probes = []
     for k, (lo, hi) in enumerate(ivs):
@@ -83,6 +84,10 @@ def probe_points(support, step=1e-7):
             probes.append((below, False))
         if math.isfinite(hi) and above < next_lo:
             probes.append((above, False))
+        for end, inward in ((lo, 1.0), (hi, -1.0)):
+            near = end + inward * step * max(1.0, abs(end))
+            if math.isfinite(end) and lo < near < hi:
+                probes.append((near, True))
     return probes
 
 
