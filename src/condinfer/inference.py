@@ -5,10 +5,10 @@ truncated-Gaussian distribution given the selection event and the nuisance
 direction; inverting that distribution in the mean yields a conditionally
 median-unbiased estimate (p = 0.5) and an equal-tailed conditional
 confidence interval (p = 1 - alpha/2 and alpha/2).  :func:`infer_significant`
-and :func:`~condinfer.sim.simulate_design` share one solve path: every
-selected (row, effect, event) problem gets its support, then all roots come
-from one call of the inversion kernel, and each failure stays with its own
-problem.
+and :func:`~condinfer.sim.simulate_design` share one solve path: the
+supports of all selected (row, effect, event) problems come from one
+stacked call of the count engine, then all roots from one call of the
+inversion kernel, and each failure stays with its own problem.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 # them by these names
 from .stats_core import (  # noqa: F401
     BoundaryStatisticError,
-    DegenerateSupportError,
     IntervalUnion,
     _inversion_error,
     _invert_supports,
@@ -31,7 +30,6 @@ from .stats_core import (  # noqa: F401
     normal_quantile,
 )
 from .support import (  # noqa: F401
-    InconsistentEventError,
     SelectionEvent,
     _decompose,
     conditional_support,
@@ -151,26 +149,30 @@ class ConditionalInference:
 def _solve(x, omega, sd, problems, spec, alpha, workers=1):
     """Support, roots at p = 1 - alpha/2, 1/2 and alpha/2 in effect units,
     and error (or None) of each (row, effect, event) problem, for ``x``,
-    ``omega`` and ``sd`` studentized and stacked by row.  Supports are found
-    on ``workers`` threads, then every root comes from one kernel call.  A
-    failed problem has NaN roots (and support None if its support failed);
-    the others are unaffected.
+    ``omega`` and ``sd`` studentized and stacked by row.  Every support comes
+    from one stacked :func:`conditional_support` call (one per contiguous
+    chunk of the problems on ``workers`` threads), then every root from one
+    kernel call.  A failed problem has NaN roots (and support None if its
+    support failed); the others are unaffected.
     """
+    rows = np.array([row for row, _, _ in problems], dtype=np.intp)
+    effects = np.array([s for _, s, _ in problems], dtype=np.intp)
+    events = [event for _, _, event in problems]
 
-    def support_of(problem):
-        row, s, event = problem
-        try:
-            return conditional_support(_decompose(x[row], omega[row], s), spec, event)
-        except (DegenerateSupportError, InconsistentEventError) as exc:
-            return exc
+    def supports_of(part):
+        return conditional_support(_decompose(x, omega, rows[part], effects[part]), spec, events[part])
 
-    if workers > 1 and len(problems) > 1:
+    chunks = min(workers, len(problems))
+    cuts = [len(problems) * i // chunks for i in range(chunks + 1)]
+    parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if len(parts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(support_of, problems))
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            found = list(pool.map(supports_of, parts))
     else:
-        found = [support_of(problem) for problem in problems]
+        found = list(map(supports_of, parts))
+    found = [f for part in found for f in part]
     errors = [f if isinstance(f, Exception) else None for f in found]
     solved = [(k, row, s) for k, (row, s, _) in enumerate(problems) if errors[k] is None]
     stats = [float(x[row, s]) for _, row, s in solved]

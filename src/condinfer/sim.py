@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+import operator
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -58,8 +60,18 @@ class DesignConfig:
     target: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "reps", "seed", "target"):
+            value = getattr(self, name)
+            if value is None and name == "reps":
+                continue
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.design not in ("normal", "chisq"):
             raise ValueError(f"unknown design {self.design!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.reps is not None and self.reps < 1:
@@ -92,10 +104,12 @@ class DesignConfig:
 
 @dataclass(frozen=True)
 class RepRecord:
-    """Outcome of one replication for the target effect."""
+    """Outcome of one replication for the target effect; a failed one may
+    name its exception's class in ``error``."""
 
     selected: bool
     failed: bool = False
+    error: str | None = None
     cond_covered: bool | None = None
     naive_covered: bool | None = None
     bonf_covered: bool | None = None
@@ -112,12 +126,15 @@ class SimulationSummary:
 
     ``sel_prob_se`` and ``coverage_cond_se`` are Monte Carlo standard errors,
     sqrt(p (1 - p) / k) over the k replications each proportion averages.
+    ``failures_by_error`` counts the failed replications by the class name
+    of their exception (``"unknown"`` for a failure that names none).
     """
 
     config: DesignConfig
     reps: int
     reps_selected: int
     failures: int
+    failures_by_error: dict[str, int] = field(hash=False)
     sel_prob: float
     coverage_cond: float | None
     coverage_naive: float | None
@@ -165,14 +182,15 @@ def summarize(cfg: DesignConfig, records: Sequence[RepRecord]) -> SimulationSumm
         raise ValueError("no replication records to summarize")
     n_selected = sum(r.selected for r in records)
     usable = [r for r in records if r.selected and not r.failed]
-    failures = sum(r.failed for r in records)
+    failures = Counter(r.error or "unknown" for r in records if r.failed)
     sel_prob = n_selected / len(records)
     coverage_cond = _fraction([r.cond_covered for r in usable])
     return SimulationSummary(
         config=cfg,
         reps=len(records),
         reps_selected=n_selected,
-        failures=failures,
+        failures=sum(failures.values()),
+        failures_by_error=dict(sorted(failures.items())),
         sel_prob=sel_prob,
         coverage_cond=coverage_cond,
         coverage_naive=_fraction([r.naive_covered for r in usable]),
@@ -221,7 +239,8 @@ def simulate_design(cfg: DesignConfig) -> SimulationSummary:
     runs on all replications at once; the replications that select the
     target are solved together by the same path as ``infer``.  Streams are
     keyed by (seed, replication), so the result equals a one-at-a-time run.
-    A replication whose support or inversion fails is counted in ``failures``.
+    A replication whose support or inversion fails is counted in ``failures``
+    and, by its exception's class, in ``failures_by_error``.
     """
     spec = ThresholdSpec(family="holm", level=cfg.fwer, m=cfg.m, sided=cfg.sided)
     chol = _equicorr_cholesky(
@@ -255,7 +274,10 @@ def simulate_design(cfg: DesignConfig) -> SimulationSummary:
         columns[f"{name}_covered"] = (lo <= truth) & (truth <= hi)
         columns[f"{name}_length"] = hi - lo
     records = [RepRecord(selected=False)] * (cfg.resolved_reps - len(selected))
-    records += [RepRecord(selected=True, failed=True)] * (len(selected) - len(rows))
+    records += [
+        RepRecord(selected=True, failed=True, error=type(error).__name__)
+        for error in errors if error is not None
+    ]
     records += [
         RepRecord(selected=True, **dict(zip(columns, values)))
         for values in zip(*(column.tolist() for column in columns.values()))
@@ -277,9 +299,11 @@ def summary_dict(summary: SimulationSummary) -> dict:
 
 
 #: Columns of :func:`csv_row`: four configuration fields, then every
-#: aggregate of :class:`SimulationSummary`.
+#: scalar aggregate of :class:`SimulationSummary`.
 CSV_FIELDS = ("design", "n", "sided", "event") + tuple(
-    f.name for f in dataclasses.fields(SimulationSummary) if f.name != "config"
+    f.name
+    for f in dataclasses.fields(SimulationSummary)
+    if f.name not in ("config", "failures_by_error")
 )
 
 

@@ -31,6 +31,14 @@ line's crossing with every level still costs O(m²) per support, but only
 the lines that cross some level inside its window are sorted and counted,
 and on the paper's inputs those are few.
 
+The engine cuts a whole stack of problems that share one spec in one pass:
+every (problem, level) pair is a row tagged with its problem, rows of small
+problems share a block with a copy of their lines each, and the gaps are
+taken per problem with a running maximum that restarts at each problem.  So
+a solve pays the engine's fixed numpy cost once, not once per problem;
+:func:`merge_intervals` still runs once per problem.  A single problem is
+the stack of one.
+
 The ``bootstrap`` thresholds x̄(A) depend on the set A of remaining
 hypotheses, so its support follows the step-down walk itself.  A window
 comes first, from the count engine's helpers: under ``equal(S)`` every
@@ -71,7 +79,9 @@ MERGE_TOL = 1e-10
 #: Most (level, line) crossings the count engine holds at once.
 _BLOCK = 1 << 18
 
-_NOTHING = (np.empty(0), np.empty(0))
+#: Most crossings in a block that holds the levels of several problems.
+_SHARED = 1 << 13
+
 _EVERYWHERE = (-_INF, _INF)
 
 
@@ -84,11 +94,13 @@ class Decomposition:
     """Split of the t-statistic vector along the selected coordinate.
 
     ``omega_col * x_s + z`` reconstructs the full vector; ``z`` is the part
-    independent of ``x_s`` under joint Gaussianity, with ``z[s] == 0``.
+    independent of ``x_s`` under joint Gaussianity, with ``z[s] == 0``.  A
+    stacked decomposition holds several problems: ``s`` and ``x_s`` are
+    vectors and ``z`` and ``omega_col`` have one row per problem.
     """
 
-    s: int
-    x_s: float
+    s: int | np.ndarray
+    x_s: float | np.ndarray
     z: np.ndarray
     omega_col: np.ndarray
 
@@ -109,17 +121,23 @@ def decompose(x: Sequence[float], omega: np.ndarray, s: int) -> Decomposition:
         raise ValueError("omega must be symmetric")
     if np.abs(np.diag(omega) - 1.0).max() > 1e-12:
         raise ValueError("omega must have a unit diagonal")
-    return _decompose(x, omega, s)
+    d = _decompose(x[None], omega[None], np.zeros(1, dtype=int), np.array([s]))
+    return Decomposition(s=s, x_s=float(d.x_s[0]), z=d.z[0], omega_col=d.omega_col[0])
 
 
-def _decompose(x: np.ndarray, omega: np.ndarray, s: int) -> Decomposition:
-    """:func:`decompose` without its checks, for float ``x`` and ``omega``
-    of matching shapes where ``omega`` is symmetric with a unit diagonal by
-    construction (as :func:`~condinfer.inference.studentize` returns it)."""
-    col = omega[:, s].copy()
-    z = x - col * x[s]
-    z[s] = 0.0
-    return Decomposition(s=s, x_s=float(x[s]), z=z, omega_col=col)
+def _decompose(
+    x: np.ndarray, omega: np.ndarray, rows: np.ndarray, s: np.ndarray
+) -> Decomposition:
+    """:func:`decompose` without its checks, stacked: problem i selects
+    effect ``s[i]`` of row ``rows[i]`` of ``x`` (R x m) and ``omega``
+    (R x m x m), float and of matching shapes, where ``omega`` is symmetric
+    with a unit diagonal by construction (as
+    :func:`~condinfer.inference.studentize` returns it)."""
+    col = omega[rows, :, s]
+    x_s = x[rows, s]
+    z = x[rows] - col * x_s[:, None]
+    z[np.arange(rows.size), s] = 0.0
+    return Decomposition(s=s, x_s=x_s, z=z, omega_col=col)
 
 
 @dataclass(frozen=True)
@@ -222,52 +240,78 @@ def merge_intervals(
 # ---------------------------------------------------------------------------
 # count engine (cardinality families)
 # ---------------------------------------------------------------------------
+#
+# The engine cuts a stack of problems that share one spec: ``a`` and ``b``
+# hold one row of lines per problem, every (problem, level) pair to cut is a
+# row of its own tagged with its problem (its owner), and pieces come back
+# as (owner, lo, hi) arrays grouped by owner.
 
 
-def _lines(a, b, two, rows=slice(None)):
-    """Slopes and intercepts of the lines a count runs over: the scores of
-    ``rows`` and, under two-sided testing, their negatives after them."""
-    a, b = a[rows], b[rows]
+def _lines(a, b, two, pick=None, dead=-_INF):
+    """Slopes and intercepts of the lines a count runs over, along the last
+    axis: the scores where the mask ``pick`` is set (all if None) and, under
+    two-sided testing, their negatives after them.  A row that picks fewer
+    scores than the most is padded with flat lines at ``dead``: -inf where a
+    line must stay below a level (no count or window sees it), +inf where it
+    must clear one."""
+    if pick is not None:
+        count = pick.sum(axis=-1)
+        index = np.argsort(~pick, axis=-1, kind="stable")[..., : count.max(initial=0)]
+        pad = np.arange(index.shape[-1]) >= count[..., None]
+        a, b = np.take_along_axis(a, index, -1), np.take_along_axis(b, index, -1)
     if two:
-        return np.concatenate((a, -a)), np.concatenate((b, -b))
+        a, b = np.concatenate((a, -a), axis=-1), np.concatenate((b, -b), axis=-1)
+    if pick is not None and pad.any():
+        pad = np.concatenate((pad, pad), axis=-1) if two else pad
+        a, b = np.where(pad, 0.0, a), np.where(pad, dead, b)
     return a, b
 
 
+def _member(inside, two):
+    """Mask of the lines of :func:`_lines` whose score is one in ``inside``."""
+    return np.concatenate((inside, inside), axis=-1) if two else inside
+
+
+def _everywhere(n):
+    """The whole line as the window of each of n problems."""
+    return np.full(n, -_INF), np.full(n, _INF)
+
+
 def _window(a, b, c, strict):
-    """Interval of x where every line a x + b is at most c, or None.
+    """Interval (lo, hi) of x where every line a x + b of a row (the last
+    axis) is at most the row's c; lo > hi where there is none.
 
     A flat line is compared as is: below c if ``strict``, else at most c.
     """
-    flat = a == 0.0
-    if np.any(b[flat] >= c if strict else b[flat] > c):
-        return None
-    cross = (c - b[~flat]) / a[~flat]
-    lo = float(cross[a[~flat] < 0.0].max(initial=-_INF))
-    hi = float(cross[a[~flat] > 0.0].min(initial=_INF))
-    return (lo, hi) if lo <= hi else None
+    c = np.asarray(c, dtype=float)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (c - b) / a
+    lo = np.where(a < 0.0, cross, -_INF).max(axis=-1, initial=-_INF)
+    hi = np.where(a > 0.0, cross, _INF).min(axis=-1, initial=_INF)
+    broken = ((a == 0.0) & ((b >= c) if strict else (b > c))).any(axis=-1)
+    return np.where(broken, _INF, lo), np.where(broken, -_INF, hi)
 
 
-def _quiet_window(a, b, rows, c, two):
-    """Interval where no score in ``rows`` reaches c (closed at sloped lines)."""
-    if not rows.size:
-        return _EVERYWHERE
-    return _window(*_lines(a, b, two, rows), c, True)
+def _quiet_window(a, b, pick, c, two):
+    """Interval where no picked score reaches c (closed at sloped lines)."""
+    return _window(*_lines(a, b, two, pick), c, True)
 
 
 def _level_cells(a, b, levels, group, w_lo, w_hi):
     """Cells of each level's own window, cut where a line meets the level.
 
-    Row i cuts [w_lo[i], w_hi[i]] at the crossings of ``levels[i]`` strictly
-    inside it; a crossing at or left of w_lo[i] only adds its step to the
-    row's first count.  Every crossing is computed and compared with the
-    window (O(levels x lines)), but only the lines with an inner crossing at
-    some level are sorted, and columns past the widest row's count of inner
-    crossings are dropped after the sort, so a narrower row ends in cells
-    of zero length at w_hi[i], which the caller drops.  Returns the cell
-    edges (``edges[i, c]`` to ``edges[i, c + 1]`` is cell c) and the
-    counts: ``counts[0][i, c]`` is the number of lines at or above the
-    level in cell c, and ``counts[1]`` the number among the lines in
-    ``group`` (a boolean mask), if one is given.
+    Row i cuts [w_lo[i], w_hi[i]] at the crossings of ``levels[i]`` with the
+    lines of row i of ``a`` and ``b`` (or of their one row, shared by every
+    level) strictly inside it; a crossing at or left of w_lo[i] only adds
+    its step to the row's first count.  Every crossing is computed and
+    compared with the window (O(levels x lines)), but only the lines with an
+    inner crossing in some row are sorted, and columns past the widest row's
+    count of inner crossings are dropped after the sort, so a narrower row
+    ends in cells of zero length at w_hi[i], which the caller drops.  Returns
+    the cell edges (``edges[i, c]`` to ``edges[i, c + 1]`` is cell c) and the
+    counts: ``counts[0][i, c]`` is the number of lines at or above the level
+    in cell c, and ``counts[1]`` the number among the lines in ``group`` (a
+    boolean mask shaped like ``a``), if one is given.
     """
     w_lo, w_hi = w_lo[:, None], w_hi[:, None]
     # a flat line (its slope made +0.0) crosses at -inf above the level,
@@ -297,54 +341,88 @@ def _level_cells(a, b, levels, group, w_lo, w_hi):
     sorted_cross = cross.take(order + lines.size * np.arange(levels.size)[:, None])
     edges = np.concatenate((w_lo, sorted_cross, w_hi), axis=1)
     counts = [
-        np.concatenate((start[:, None], ws.take(lines).take(order)), axis=1).cumsum(axis=1)
+        np.concatenate(
+            (start[:, None], np.take_along_axis(ws.take(lines, axis=1), order, axis=1)), axis=1
+        ).cumsum(axis=1)
         for start, ws in zip(starts, weights)
     ]
     return edges, counts
 
 
-def _flagged(a, b, levels, flag, bounds, group=None):
-    """Pieces (lo, hi) covering the cells where ``flag(rows, counts)`` holds.
+def _flagged(a, b, levels, owner, flag, bounds, group=None):
+    """Pieces (owner, lo, hi) covering the cells where ``flag(rows, counts)``
+    holds.
 
-    Level i is cut only inside its own window [w_lo[i], w_hi[i]], where
-    ``bounds`` is (w_lo, w_hi).  ``rows`` is the slice of ``levels`` in the
-    current block, so a flag can index per-level requirements with it.  A
-    run of flagged cells within a level comes back as one piece.
+    Row i cuts level ``levels[i]`` of problem ``owner[i]`` (non-decreasing),
+    whose lines are row owner[i] of ``a``, ``b`` and ``group``, only inside
+    its own window [w_lo[i], w_hi[i]], where ``bounds`` is (w_lo, w_hi).
+    ``rows`` is the slice of rows in the current block, so a flag can index
+    per-row requirements with it.  A run of flagged cells within a row comes
+    back as one piece.  Problems share a block, with a copy of their lines
+    per row, while it holds at most about ``_SHARED`` crossings; a larger
+    problem is cut in blocks of its own, of up to about ``_BLOCK`` crossings,
+    which share its one row of lines.
     """
     w_lo, w_hi = bounds
-    los, his = [np.empty(0)], [np.empty(0)]
-    per = max(1, _BLOCK // (a.size + 1))
-    for start in range(0, levels.size, per):
-        rows = slice(start, start + per)
-        edges, counts = _level_cells(a, b, levels[rows], group, w_lo[rows], w_hi[rows])
+    owners, los, his = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
+    per = max(1, _BLOCK // (a.shape[1] + 1))
+    few = max(1, _SHARED // (a.shape[1] + 1))
+    # the row after each problem's last
+    tails = np.append(np.flatnonzero(owner[1:] != owner[:-1]) + 1, levels.size)
+    start = 0
+    while start < levels.size:
+        k = np.searchsorted(tails, start + few, "right")
+        # whole problems up to `few` rows, else the next `per` rows of one
+        stop = tails[k - 1] if k and tails[k - 1] > start else min(start + per, tails[k])
+        rows = slice(start, stop)
+        own = owner[rows]
+        pick = own[:1] if own[0] == own[-1] else own
+        edges, counts = _level_cells(
+            a[pick], b[pick], levels[rows], None if group is None else group[pick],
+            w_lo[rows], w_hi[rows],
+        )
         keep = np.zeros((edges.shape[0], edges.shape[1] + 1), dtype=bool)
         keep[:, 1:-1] = (edges[:, :-1] < edges[:, 1:]) & flag(rows, counts)
         # row by row, keep changes at a run's first lo and then its last hi
-        ends = edges[keep[:, 1:] != keep[:, :-1]]
+        row, col = np.nonzero(keep[:, 1:] != keep[:, :-1])
+        ends = edges[row, col]
+        owners.append(own[row[0::2]])
         los.append(ends[0::2])
         his.append(ends[1::2])
-    return np.concatenate(los), np.concatenate(his)
-
-
-def _per_level(window, n):
-    """One window as the bounds of each of n levels."""
-    return np.full(n, window[0]), np.full(n, window[1])
+        start = stop
+    return np.concatenate(owners), np.concatenate(los), np.concatenate(his)
 
 
 def _gaps(window, *pieces):
-    """Complement inside the window of the union of closed (lo, hi) pieces."""
-    lo = np.concatenate([p[0] for p in pieces])
-    order = lo.argsort(kind="stable")
-    # a gap opens wherever a piece starts past the reach of those before it
-    reach = np.maximum.accumulate(np.concatenate([p[1] for p in pieces])[order])
-    lo = np.concatenate((lo[order], [window[1]]))
-    hi = np.concatenate(([window[0]], reach))
-    keep = hi < lo
-    return hi[keep], lo[keep]
+    """Per problem, the complement inside its window of the union of its
+    closed pieces.  ``window`` is (w_lo, w_hi) with one entry per problem,
+    and each of ``pieces`` is (owner, lo, hi); so are the gaps returned."""
+    w_lo, w_hi = window
+    owner, lo, hi = (np.concatenate(part) for part in zip(*pieces))
+    order = np.lexsort((lo, owner))
+    owner, lo, hi = owner[order], lo[order], hi[order]
+    # a gap opens wherever a piece starts past the reach of its problem's
+    # pieces before it: a running max of ranks, offset so that no problem
+    # reaches into the next
+    by_hi = hi.argsort(kind="stable")
+    rank = np.empty_like(by_hi)
+    rank[by_hi] = np.arange(hi.size)
+    offset = owner * hi.size
+    reach = hi[by_hi][np.maximum.accumulate(rank + offset) - offset]
+    # problem p's gaps run from (w_lo[p], reach...) to (lo..., w_hi[p])
+    count = np.bincount(owner, minlength=w_lo.size)
+    slot = np.arange(owner.size) + owner
+    tail = np.cumsum(count) + np.arange(w_lo.size)
+    starts, ends = np.empty(tail.size + owner.size), np.empty(tail.size + owner.size)
+    starts[slot], starts[tail] = lo, w_hi
+    ends[slot + 1], ends[tail - count] = reach, w_lo
+    keep = ends < starts
+    return np.repeat(np.arange(w_lo.size), count + 1)[keep], ends[keep], starts[keep]
 
 
 def _below_hull(a, b, levels, two, window):
-    """Per level, the hull inside the window of {x : some score < level}.
+    """Per problem (row of ``a`` and ``b``) and level, the hull inside the
+    problem's window of {x : some score < level}.
 
     The scores are those of the lines (a, b), both signs under two-sided
     testing.  Each edge of a nonempty hull is a line's crossing with the
@@ -353,101 +431,102 @@ def _below_hull(a, b, levels, two, window):
     lo >= hi.
     """
     flat = a == 0.0
-    under = None
-    if flat.any():
-        # a flat score below the level is below it everywhere
-        under = levels > (np.abs(b[flat]) if two else b[flat]).min()
-        a, b = a[~flat], b[~flat]
-    cross = (levels[:, None] - b) / a
-    lo = np.minimum.reduce(cross, axis=1, initial=_INF)
-    hi = np.maximum.reduce(cross, axis=1, initial=-_INF)
+    # a flat score below the level is below it everywhere
+    under = levels > np.where(flat, np.abs(b) if two else b, _INF).min(axis=-1, initial=_INF)[..., None]
+    lo = np.full(under.shape, _INF)
+    hi = np.full(under.shape, -_INF)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(a.shape[-1]):
+            cross = (levels - b[..., i, None]) / a[..., i, None]
+            sloped = ~flat[..., i, None]
+            np.minimum(lo, cross, out=lo, where=sloped)
+            np.maximum(hi, cross, out=hi, where=sloped)
     # under two-sided testing |s| < t between the crossings of s and -s;
     # one-sided, a rising score is below the level left of its crossing
     # and a falling one right of it
-    if not two and (a > 0.0).any():
-        lo[:] = -_INF
-    if not two and (a < 0.0).any():
-        hi[:] = _INF
-    if under is not None:
-        lo[under], hi[under] = -_INF, _INF
-    return np.maximum(lo, window[0]), np.minimum(hi, window[1])
+    if not two:
+        lo = np.where((a > 0.0).any(axis=-1)[..., None], -_INF, lo)
+        hi = np.where((a < 0.0).any(axis=-1)[..., None], _INF, hi)
+    lo, hi = np.where(under, -_INF, lo), np.where(under, _INF, hi)
+    return (
+        np.maximum(lo, np.asarray(window[0])[..., None]),
+        np.minimum(hi, np.asarray(window[1])[..., None]),
+    )
 
 
-def _member(inside, m, two):
-    """Mask of the lines of :func:`_lines` whose score is one in ``inside``."""
-    mask = np.zeros(m, dtype=bool)
-    mask[inside] = True
-    return np.concatenate((mask, mask)) if two else mask
+def _level_rows(count, m):
+    """Owner and level index of each row when problem p cuts the first
+    count[p] of the m levels."""
+    return np.nonzero(np.arange(m) < count[:, None])
 
 
-def _count_step_down(a, b, t, event, two):
+def _count_step_down(a, b, t, inside, kind, two):
     m = t.size
-    inside = sorted(event.indices)
-    k = len(inside)
-    if event.kind == "equal":
+    k = inside.sum(axis=1)
+    if kind == "equal":
         # every other score stays below t_{k+1}, which leaves one window;
         # inside it only the S lines can change N_{t_j} for j <= k
-        comp = np.setdiff1d(np.arange(m), inside)
-        window = _quiet_window(a, b, comp, t[k] if k < m else _INF, two)
-        if window is None:
-            return _NOTHING
-        la, lb = _lines(a, b, two, inside)
-        need = np.arange(1, k + 1)
+        window = _quiet_window(a, b, ~inside, np.append(t, _INF)[k], two)
+        owner, j = _level_rows(k, m)
+        need = j + 1
         bad = _flagged(
-            la, lb, t[:k], lambda rows, n: n[0] < need[rows, None], _per_level(window, k)
+            *_lines(a, b, two, inside), t[j], owner,
+            lambda rows, n: n[0] < need[rows, None], (window[0][owner], window[1][owner]),
         )
         return _gaps(window, bad)
     # step j either passes or every required score already clears t_j, so
     # level j is cut only where some required score is below t_j
-    window = _EVERYWHERE if two else _window(-a[inside], -b[inside], -t[-1], False)
-    if window is None:
-        return _NOTHING
-    la, lb = _lines(a, b, two)
-    mine = _member(inside, m, two)
-    w_lo, w_hi = _below_hull(la[mine], lb[mine], t, two, window)
-    live = w_lo < w_hi
-    need = np.flatnonzero(live) + 1
+    ra, rb = _lines(a, b, two, inside, _INF)
+    window = _everywhere(k.size) if two else _window(-ra, -rb, -t[-1], False)
+    w_lo, w_hi = _below_hull(ra, rb, t, two, window)
+    owner, j = np.nonzero(w_lo < w_hi)
+    need, k = j + 1, k[owner]
 
     def bad_step(rows, n):
-        return (n[0] < need[rows, None]) & (n[1] < k)
+        return (n[0] < need[rows, None]) & (n[1] < k[rows, None])
 
-    bad = _flagged(la, lb, t[live], bad_step, (w_lo[live], w_hi[live]), mine)
+    la, lb = _lines(a, b, two)
+    bad = _flagged(la, lb, t[j], owner, bad_step, (w_lo[owner, j], w_hi[owner, j]), _member(inside, two))
     return _gaps(window, bad)
 
 
-def _count_step_up(a, b, t, event, two):
+def _count_step_up(a, b, t, inside, kind, two):
     m = t.size
     u = t[::-1]  # u[r - 1] is the critical value met with r selections
-    inside = sorted(event.indices)
-    k = len(inside)
-    if event.kind == "equal":
+    k = inside.sum(axis=1)
+    if kind == "equal":
         # R* = k: the S lines clear u_k, the others stay below it, and no
         # r > k finds r scores at or above u_r, i.e. r - k of the others
-        comp = np.setdiff1d(np.arange(m), inside)
-        window = _quiet_window(a, b, comp, u[k - 1], two)
-        if window is None:
-            return _NOTHING
-        sa, sb = _lines(a, b, two, inside)
-        ca, cb = _lines(a, b, two, comp)
-        need = np.arange(1, m - k + 1)
-        bad_s = _flagged(sa, sb, u[k - 1 : k], lambda rows, n: n[0] < k, _per_level(window, 1))
+        window = _quiet_window(a, b, ~inside, u[k - 1], two)
+        bad_s = _flagged(
+            *_lines(a, b, two, inside), u[k - 1], np.arange(k.size),
+            lambda rows, n: n[0] < k[rows, None], window,
+        )
+        owner, j = _level_rows(m - k, m)
+        need = j + 1
         bad_c = _flagged(
-            ca, cb, u[k:], lambda rows, n: n[0] >= need[rows, None], _per_level(window, m - k)
+            *_lines(a, b, two, ~inside), u[k[owner] + j], owner,
+            lambda rows, n: n[0] >= need[rows, None], (window[0][owner], window[1][owner]),
         )
         return _gaps(window, bad_s, bad_c)
     # R is selected as soon as some r has N_{u_r} >= r with R at or above u_r
-    window = _EVERYWHERE if two else _window(-a[inside], -b[inside], -u[-1], False)
-    if window is None:
-        return _NOTHING
-    la, lb = _lines(a, b, two)
-    need = np.arange(1, m + 1)
+    if two:
+        window = _everywhere(k.size)
+    else:
+        window = _window(*(-v for v in _lines(a, b, False, inside, _INF)), -u[-1], False)
+    owner, j = _level_rows(np.full(k.size, m), m)
+    need, k = j + 1, k[owner]
 
     def good(rows, n):
-        return (n[0] >= need[rows, None]) & (n[1] >= k)
+        return (n[0] >= need[rows, None]) & (n[1] >= k[rows, None])
 
-    admitted = _flagged(la, lb, u, good, _per_level(window, m), _member(inside, m, two))
+    la, lb = _lines(a, b, two)
+    admitted = _flagged(
+        la, lb, u[j], owner, good, (window[0][owner], window[1][owner]), _member(inside, two)
+    )
     # their union, as the complement of their gaps
-    return _gaps(_EVERYWHERE, _gaps(_EVERYWHERE, admitted))
+    everywhere = _everywhere(inside.shape[0])
+    return _gaps(everywhere, _gaps(everywhere, admitted))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +549,7 @@ def _breakpoints_brute(a, b, rows, two, w_lo, w_hi):
     inside the window, sorted and deduplicated.  Under two-sided testing
     these include a line meeting another's mirror and its own (a sign
     change), where the ordering of the magnitudes changes."""
-    la, lb = _lines(a, b, two, np.asarray(rows, dtype=int))
+    la, lb = _lines(a[rows], b[rows], two)
     i, j = np.triu_indices(la.size, k=1)
     da = la[i] - la[j]
     nz = da != 0.0
@@ -511,14 +590,14 @@ def _cellwise(a, b, spec, event):
     if event.kind == "equal":
         rows, rest = inside, [h for h in range(spec.m) if h not in event.indices]
         c = threshold_value(spec, rest) if rest else _INF
-        window = _quiet_window(a, b, np.asarray(rest, dtype=int), c, two)
+        window = _window(*_lines(a[rest], b[rest], two), c, True)
     else:
         rows, rest = list(range(spec.m)), []
         # a required score is tested at some x̄(A) >= x̄({h}), which bounds
         # x on one side only when the score is not a magnitude
         c = np.array([threshold_value(spec, [h]) for h in inside])
         window = _EVERYWHERE if two else _window(-a[inside], c - b[inside], 0.0, False)
-    if window is None:
+    if window[0] > window[1]:
         return []
     los, his, probes = _partition(_breakpoints_brute(a, b, rows, two, *window), *window)
     v = a * probes[:, None] + b
@@ -555,8 +634,10 @@ def _cellwise(a, b, spec, event):
 
 
 def conditional_support(
-    d: Decomposition, spec: ThresholdSpec, event: SelectionEvent
-) -> IntervalUnion:
+    d: Decomposition,
+    spec: ThresholdSpec,
+    event: SelectionEvent | Sequence[SelectionEvent],
+) -> IntervalUnion | list[IntervalUnion | Exception]:
     """Closure of the x_s values compatible with the selection event.
 
     Cardinality families go through the count engine: the line is cut only
@@ -567,35 +648,63 @@ def conditional_support(
     the ordering breakpoints of the walked lines, inside a window from the
     same helpers (see the module docstring).
 
-    Raises :class:`DegenerateSupportError` when the event admits no value at
-    all, and :class:`InconsistentEventError` when the observed statistic is
-    not a member of the computed support (the event does not describe the
-    data it was derived from).
+    One decomposition and one event give one union.  It raises
+    :class:`DegenerateSupportError` when the event admits no value at all,
+    and :class:`InconsistentEventError` when the observed statistic is not a
+    member of the computed support (the event does not describe the data it
+    was derived from).  A stacked decomposition with a sequence of events,
+    one per problem, gives a list with each problem's union or, in its
+    place, that problem's error (not raised); the count engine cuts every
+    problem in one pass, and the single form is the stack of one.
     """
+    single = isinstance(event, SelectionEvent)
+    events = [event] if single else list(event)
     a = np.asarray(d.omega_col, dtype=float)
     b = np.asarray(d.z, dtype=float)
+    x_s = np.asarray(d.x_s, dtype=float)
+    if single:
+        a, b, x_s = a[None], b[None], x_s[None]
     m = spec.m
-    if a.shape != (m,) or b.shape != (m,):
+    if a.shape != (len(events), m) or b.shape != a.shape or x_s.shape != a.shape[:1]:
         raise ValueError("decomposition size does not match spec.m")
-    if event.kind == "equal" and not event.indices:
+    if any(e.kind == "equal" and not e.indices for e in events):
         raise ValueError("conditioning on an empty significant set is not supported")
-    if any(not 0 <= h < m for h in event.indices):
+    indices = [h for e in events for h in e.indices]
+    if indices and not (0 <= min(indices) and max(indices) < m):
         raise ValueError("event indices out of range")
     two = spec.sided == "two"
     steps = thresholds_by_step(spec)
     if steps is None:
-        pieces = _cellwise(a, b, spec, event)
+        pieces = [_cellwise(a[p], b[p], spec, e) for p, e in enumerate(events)]
     else:
         engine = _count_step_down if spec.procedure == STEP_DOWN else _count_step_up
-        lo, hi = engine(a, b, steps, event, two)
-        pieces = list(zip(lo.tolist(), hi.tolist()))
+        inside = np.zeros(a.shape, dtype=bool)
+        inside[np.repeat(np.arange(len(events)), [len(e.indices) for e in events]), indices] = True
+        equal = np.array([e.kind == "equal" for e in events])
+        pieces = [[] for _ in events]
+        for kind in ("equal", "superset"):
+            group = np.flatnonzero(equal == (kind == "equal"))
+            if not group.size:
+                continue
+            owner, lo, hi = engine(a[group], b[group], steps, inside[group], kind, two)
+            cuts = np.searchsorted(owner, np.arange(group.size + 1)).tolist()
+            lo, hi = lo.tolist(), hi.tolist()
+            for row, p in enumerate(group.tolist()):
+                pieces[p] = list(zip(lo[cuts[row] : cuts[row + 1]], hi[cuts[row] : cuts[row + 1]]))
 
-    union = merge_intervals(pieces)
-    if union.is_empty:
-        raise DegenerateSupportError("the selection event admits no value of x_s")
-    if not union.contains(d.x_s, tol=1e-9 * max(1.0, abs(d.x_s))):
-        raise InconsistentEventError(
-            f"observed statistic {d.x_s!r} is outside the support of the "
-            f"{event.kind} event"
-        )
-    return union
+    results = []
+    for raw, x, e in zip(pieces, x_s.tolist(), events):
+        result = merge_intervals(raw)
+        if result.is_empty:
+            result = DegenerateSupportError("the selection event admits no value of x_s")
+        elif not result.contains(x, tol=1e-9 * max(1.0, abs(x))):
+            result = InconsistentEventError(
+                f"observed statistic {x!r} is outside the support of the "
+                f"{e.kind} event"
+            )
+        results.append(result)
+    if not single:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]

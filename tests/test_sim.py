@@ -17,6 +17,7 @@ from condinfer.sim import (
     format_table,
     simulate_design,
     summarize,
+    summary_dict,
 )
 from condinfer.stats_core import (
     BoundaryStatisticError,
@@ -55,6 +56,14 @@ def test_config_validation():
     for alpha in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError, match="alpha must lie in"):
             DesignConfig(alpha=alpha)
+    # integer fields refuse floats when the configuration is made, not
+    # later inside the simulation
+    for field, value in (("n", 300.5), ("reps", 10.5), ("seed", 1.5), ("target", 1.0)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DesignConfig(**{field: value})
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        DesignConfig(seed=-1)
+    assert DesignConfig(n=np.int64(120), seed=np.int64(3)).n == 120
     assert DesignConfig(n=100).resolved_reps == 20000
     assert DesignConfig(n=300).resolved_reps == 5000
     assert DesignConfig(n=300, reps=77).resolved_reps == 77
@@ -162,6 +171,41 @@ def test_failed_replications_counted_and_excluded():
     assert out.failures == 1
     assert out.reps_selected == 2
     assert out.coverage_cond == 1.0
+
+
+def test_failures_counted_by_error_type():
+    cfg = DesignConfig(reps=6)
+    recs = [
+        RepRecord(selected=True, failed=True, error="BoundaryStatisticError"),
+        RepRecord(selected=True, failed=True, error="DegenerateSupportError"),
+        RepRecord(selected=True, failed=True, error="BoundaryStatisticError"),
+        RepRecord(selected=True, failed=True),
+        RepRecord(
+            selected=True,
+            cond_covered=True,
+            naive_covered=True,
+            bonf_covered=True,
+            cond_length=0.2,
+            naive_length=0.2,
+            bonf_length=0.2,
+            cond_bias=0.0,
+            naive_bias=0.0,
+        ),
+        RepRecord(selected=False),
+    ]
+    out = summarize(cfg, recs)
+    assert out.failures == 4
+    assert out.failures_by_error == {
+        "BoundaryStatisticError": 2, "DegenerateSupportError": 1, "unknown": 1,
+    }
+    record = summary_dict(out)
+    assert record["failures_by_error"] == out.failures_by_error
+    # a mapping is no CSV column
+    assert "failures_by_error" not in csv_header()
+    assert len(csv_row(out).split(",")) == len(csv_header().split(","))
+    clean = simulate_design(DesignConfig(design="normal", n=120, reps=80, seed=31))
+    assert clean.failures == 0 and clean.failures_by_error == {}
+    assert summarize(cfg, [RepRecord(selected=False)]).failures_by_error == {}
 
 
 def test_small_run_sanity():

@@ -7,6 +7,7 @@ import pytest
 
 import condinfer as ci
 import condinfer.cli  # noqa: F401 - the traced run wraps names in it
+from condinfer import support
 from conftest import (
     load_bench_module,
     random_correlation,
@@ -25,7 +26,6 @@ from condinfer.support import (
     _gaps,
     _lines,
     _member,
-    _per_level,
     _window,
     conditional_support,
     decompose,
@@ -390,6 +390,86 @@ def test_bootstrap_support_matches_oracle():
                 done += _check_degenerate_support(spec, kind, rng)
 
 
+def _stack(decompositions):
+    """The decompositions as one stacked decomposition."""
+    return Decomposition(
+        s=np.array([d.s for d in decompositions]),
+        x_s=np.array([d.x_s for d in decompositions]),
+        z=np.stack([d.z for d in decompositions]),
+        omega_col=np.stack([d.omega_col for d in decompositions]),
+    )
+
+
+def _single_results(decompositions, spec, events):
+    """Each problem's support intervals from its own call, or its error type."""
+    out = []
+    for d, event in zip(decompositions, events):
+        try:
+            out.append(conditional_support(d, spec, event).intervals)
+        except (DegenerateSupportError, InconsistentEventError) as exc:
+            out.append(type(exc))
+    return out
+
+
+def assert_stack_matches_single_calls(decompositions, spec, events, monkeypatch):
+    """The stacked call gives each problem its single call's endpoints
+    (under ==) or error type, and reversing the stack reverses it, also
+    when blocks are so small that problems are split across them; returns
+    the kinds of result seen (the error types, IntervalUnion)."""
+    want = _single_results(decompositions, spec, events)
+    for shared, block in ((support._SHARED, support._BLOCK), (40, 60)):
+        with monkeypatch.context() as patch:
+            patch.setattr(support, "_SHARED", shared)
+            patch.setattr(support, "_BLOCK", block)
+            for order in (slice(None), slice(None, None, -1)):
+                got = conditional_support(_stack(decompositions[order]), spec, events[order])
+                assert [
+                    r.intervals if isinstance(r, IntervalUnion) else type(r) for r in got
+                ] == want[order], (shared, block)
+    return {w if isinstance(w, type) else IntervalUnion for w in want}
+
+
+def test_stacked_supports_match_single_problem_supports(monkeypatch):
+    # stacks of 1 to 40 problems on one spec, for every cardinality family
+    # (step-up fixed included), both sides, equal and superset events mixed
+    # in one stack, planted degenerate geometry, and events drawn at random
+    # as well as from the selection, so that some single calls raise
+    rng = np.random.default_rng(4040)
+    cases = [(f, STEP_DOWN) for f in CARDINALITY_FAMILIES if f not in ("bh", "by")]
+    cases += [(f, STEP_UP) for f in ("bh", "by", "fixed")]
+    seen = set()
+    for trial in range(4 * len(cases)):
+        family, procedure = cases[trial % len(cases)]
+        m = int(rng.integers(1, 9))
+        spec = random_spec(m, rng, (family,), ("one", "two")[trial % 2], procedure)
+        decompositions, events = [], []
+        for _ in range(int(rng.integers(1, 41))):
+            x, omega = _degenerate_instance(spec, rng)
+            s = int(rng.integers(m))
+            chosen = sorted(ci.select(x, spec).significant_set)
+            if not chosen or rng.random() < 0.2:
+                chosen = [h for h in range(m) if rng.random() < 0.5] or [s]
+            if rng.random() < 0.5:
+                event = SelectionEvent.equal(chosen)
+            else:
+                event = SelectionEvent.superset([h for h in chosen if h == s or rng.random() < 0.5] or [s])
+            decompositions.append(decompose(x, omega, s))
+            events.append(event)
+        seen |= assert_stack_matches_single_calls(decompositions, spec, events, monkeypatch)
+    assert seen == {DegenerateSupportError, InconsistentEventError, IntervalUnion}
+    # the bootstrap family walks each problem of the stack on its own
+    draws = wild_bootstrap_draws(rng.standard_normal((30, 4)), rng.integers(0, 6, size=30), 99, 8)
+    spec = ThresholdSpec("bootstrap", 0.15, 4, "two", draws=draws)
+    decompositions, events = [], []
+    for k in range(12):
+        x, omega = _degenerate_instance(spec, rng)
+        s = int(rng.integers(4))
+        chosen = sorted(ci.select(x, spec).significant_set) or [s]
+        decompositions.append(decompose(x, omega, s))
+        events.append(SelectionEvent.equal(chosen) if k % 2 else SelectionEvent.superset([s]))
+    assert IntervalUnion in assert_stack_matches_single_calls(decompositions, spec, events, monkeypatch)
+
+
 def _factor_model(m, rng, n_signal, signal):
     loadings = rng.uniform(0.2, 0.7, size=m)
     omega = np.outer(loadings, loadings)
@@ -433,21 +513,21 @@ def test_paper_scale_supports_match_independent_references():
 
 
 def _whole_window_superset(a, b, t, event, two):
-    """Step-down superset support with every level cut across the whole
-    window, instead of only where some required score is below it."""
+    """Step-down superset support of the lines (a, b) with every level cut
+    across the whole window, instead of only where some required score is
+    below it, as a stack of one problem."""
     m = t.size
-    inside = sorted(event.indices)
+    inside = np.isin(np.arange(m), sorted(event.indices))
     window = _EVERYWHERE if two else _window(-a[inside], -b[inside], -t[-1], False)
-    if window is None:
-        return np.empty(0), np.empty(0)
     need = np.arange(1, m + 1)
 
     def bad_step(rows, n):
-        return (n[0] < need[rows, None]) & (n[1] < len(inside))
+        return (n[0] < need[rows, None]) & (n[1] < inside.sum())
 
-    la, lb = _lines(a, b, two)
-    bad = _flagged(la, lb, t, bad_step, _per_level(window, m), _member(inside, m, two))
-    return _gaps(window, bad)
+    la, lb = _lines(a[None], b[None], two)
+    bounds = (np.full(m, window[0]), np.full(m, window[1]))
+    bad = _flagged(la, lb, t, np.zeros(m, dtype=int), bad_step, bounds, _member(inside[None], two))
+    return _gaps((np.full(1, window[0]), np.full(1, window[1])), bad)
 
 
 def assert_level_windows_change_nothing(a, b, spec, required):
@@ -457,11 +537,12 @@ def assert_level_windows_change_nothing(a, b, spec, required):
     d = Decomposition(s=0, x_s=0.0, z=b, omega_col=a)
     event = SelectionEvent.superset(required)
     t, two = thresholds_by_step(spec), spec.sided == "two"
-    got = _count_step_down(a, b, t, event, two)
+    inside = np.isin(np.arange(spec.m), required)
+    got = _count_step_down(a[None], b[None], t, inside[None], "superset", two)
     want = _whole_window_superset(a, b, t, event, two)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (got, want)
-    assert_probes_match_oracle(d, spec, event, merge_intervals(zip(*got)))
-    return got
+    assert all(np.array_equal(g, w) for g, w in zip(got, want)), (got, want)
+    assert_probes_match_oracle(d, spec, event, merge_intervals(zip(*got[1:])))
+    return got[1:]
 
 
 def test_level_windows_match_whole_window_cuts_on_random_instances():
@@ -564,7 +645,9 @@ def test_traced_names_exist_and_are_looked_up():
     finally:
         tracer.uninstall()
     figures = {k: v["value"] for k, v in tracer.metrics().items()}
-    assert figures["support.conditional_support_calls"] == 3
+    # one stacked support call for the three selected effects
+    assert figures["support.conditional_support_calls"] == 1
+    assert figures["support.conditional_support_s"] > 0
     assert figures["support.intervals"] >= 3
     assert figures["support.raw_pieces"] >= figures["support.intervals"]
     # infer solves every effect's roots in one call of the batch kernel and
