@@ -155,6 +155,8 @@ def _solve(x, omega, sd, problems, spec, alpha, workers=1):
     kernel call.  A failed problem has NaN roots (and support None if its
     support failed); the others are unaffected.
     """
+    if not problems:
+        return [], np.empty((0, 3)), []
     rows = np.array([row for row, _, _ in problems], dtype=np.intp)
     effects = np.array([s for _, s, _ in problems], dtype=np.intp)
     events = [event for _, _, event in problems]

@@ -104,11 +104,10 @@ class DesignConfig:
 
 @dataclass(frozen=True)
 class RepRecord:
-    """Outcome of one replication for the target effect; a failed one may
-    name its exception's class in ``error``."""
+    """Outcome of one replication for the target effect; a failed one names
+    its exception's class in ``error``."""
 
     selected: bool
-    failed: bool = False
     error: str | None = None
     cond_covered: bool | None = None
     naive_covered: bool | None = None
@@ -119,6 +118,10 @@ class RepRecord:
     cond_bias: float | None = None
     naive_bias: float | None = None
 
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
+
 
 @dataclass(frozen=True)
 class SimulationSummary:
@@ -127,7 +130,7 @@ class SimulationSummary:
     ``sel_prob_se`` and ``coverage_cond_se`` are Monte Carlo standard errors,
     sqrt(p (1 - p) / k) over the k replications each proportion averages.
     ``failures_by_error`` counts the failed replications by the class name
-    of their exception (``"unknown"`` for a failure that names none).
+    of their exception; ``failures`` is its total.
     """
 
     config: DesignConfig
@@ -182,7 +185,7 @@ def summarize(cfg: DesignConfig, records: Sequence[RepRecord]) -> SimulationSumm
         raise ValueError("no replication records to summarize")
     n_selected = sum(r.selected for r in records)
     usable = [r for r in records if r.selected and not r.failed]
-    failures = Counter(r.error or "unknown" for r in records if r.failed)
+    failures = Counter(r.error for r in records if r.failed)
     sel_prob = n_selected / len(records)
     coverage_cond = _fraction([r.cond_covered for r in usable])
     return SimulationSummary(
@@ -275,7 +278,7 @@ def simulate_design(cfg: DesignConfig) -> SimulationSummary:
         columns[f"{name}_length"] = hi - lo
     records = [RepRecord(selected=False)] * (cfg.resolved_reps - len(selected))
     records += [
-        RepRecord(selected=True, failed=True, error=type(error).__name__)
+        RepRecord(selected=True, error=type(error).__name__)
         for error in errors if error is not None
     ]
     records += [

@@ -153,7 +153,7 @@ def test_summarize_examples():
 def test_failed_replications_counted_and_excluded():
     cfg = DesignConfig(reps=3)
     recs = [
-        RepRecord(selected=True, failed=True),
+        RepRecord(selected=True, error="BoundaryStatisticError"),
         RepRecord(
             selected=True,
             cond_covered=True,
@@ -174,12 +174,11 @@ def test_failed_replications_counted_and_excluded():
 
 
 def test_failures_counted_by_error_type():
-    cfg = DesignConfig(reps=6)
+    cfg = DesignConfig(reps=5)
     recs = [
-        RepRecord(selected=True, failed=True, error="BoundaryStatisticError"),
-        RepRecord(selected=True, failed=True, error="DegenerateSupportError"),
-        RepRecord(selected=True, failed=True, error="BoundaryStatisticError"),
-        RepRecord(selected=True, failed=True),
+        RepRecord(selected=True, error="BoundaryStatisticError"),
+        RepRecord(selected=True, error="DegenerateSupportError"),
+        RepRecord(selected=True, error="BoundaryStatisticError"),
         RepRecord(
             selected=True,
             cond_covered=True,
@@ -194,10 +193,8 @@ def test_failures_counted_by_error_type():
         RepRecord(selected=False),
     ]
     out = summarize(cfg, recs)
-    assert out.failures == 4
-    assert out.failures_by_error == {
-        "BoundaryStatisticError": 2, "DegenerateSupportError": 1, "unknown": 1,
-    }
+    assert out.failures == 3
+    assert out.failures_by_error == {"BoundaryStatisticError": 2, "DegenerateSupportError": 1}
     record = summary_dict(out)
     assert record["failures_by_error"] == out.failures_by_error
     # a mapping is no CSV column
@@ -206,6 +203,15 @@ def test_failures_counted_by_error_type():
     clean = simulate_design(DesignConfig(design="normal", n=120, reps=80, seed=31))
     assert clean.failures == 0 and clean.failures_by_error == {}
     assert summarize(cfg, [RepRecord(selected=False)]).failures_by_error == {}
+
+
+@pytest.mark.parametrize("event", ("superset", "equal"))
+def test_block_without_selected_replications(event):
+    # selection is rare at n = 100: no replication of this block selects the target
+    summary = simulate_design(DesignConfig(n=100, reps=5, seed=0, event=event))
+    assert summary.reps == 5 and summary.reps_selected == 0
+    assert summary.failures == 0 and summary.failures_by_error == {}
+    assert summary.sel_prob == 0.0 and summary.coverage_cond is None
 
 
 def test_small_run_sanity():
@@ -264,8 +270,8 @@ def _one_replication(cfg, rep, chol, spec):
         lo, est, hi = sd[t] * invert_truncated_mu(
             d.x_s, support, (1.0 - cfg.alpha / 2.0, 0.5, cfg.alpha / 2.0)
         )
-    except (DegenerateSupportError, InconsistentEventError, BoundaryStatisticError):
-        return RepRecord(selected=True, failed=True)
+    except (DegenerateSupportError, InconsistentEventError, BoundaryStatisticError) as exc:
+        return RepRecord(selected=True, error=type(exc).__name__)
     truth = cfg.theta[t]
     naive_lo, naive_hi = unconditional_ci(estimates, t, cfg.alpha)
     bonf_lo, bonf_hi = unconditional_ci(estimates, t, cfg.alpha / cfg.m)
