@@ -79,6 +79,8 @@ class DesignConfig:
         m = len(self.theta)
         if m < 1:
             raise ValueError("theta must be nonempty")
+        if not np.isfinite(self.theta).all():
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
         rho_floor = -1.0 / (m - 1) if m > 1 else -1.0
         if not rho_floor < self.rho < 1.0:
             raise ValueError(f"rho={self.rho} leaves the correlation matrix indefinite")
@@ -88,8 +90,11 @@ class DesignConfig:
             raise ValueError(f"unknown event {self.event!r}")
         if not 0 <= self.target < m:
             raise ValueError("target index out of range")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        if self.sided not in ("one", "two"):
+            raise ValueError(f"sided must be 'one' or 'two', got {self.sided!r}")
+        for name in ("fwer", "alpha"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
 
     @property
     def m(self) -> int:

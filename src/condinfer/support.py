@@ -60,10 +60,8 @@ import numpy as np
 from .stats_core import DegenerateSupportError, IntervalUnion
 from .testing import (
     STEP_DOWN,
-    SelectionOutcome,
     ThresholdSpec,
     _batch_membership,
-    select,
     threshold_value,
     thresholds_by_step,
 )
@@ -168,32 +166,16 @@ class SelectionEvent:
         return cls("superset", frozenset(required))
 
 
-def _event_holds(outcome: SelectionOutcome, event: SelectionEvent) -> bool:
-    got = outcome.significant_set
-    if event.kind == "equal":
-        return got == event.indices
-    return event.indices <= got
-
-
-def membership_oracle(
-    x_s: float, d: Decomposition, spec: ThresholdSpec, event: SelectionEvent
-) -> bool:
-    """Does setting the selected statistic to ``x_s`` reproduce the event?
-
-    Runs the full selection procedure on the reconstructed vector; this is
-    the ground truth the support computation is checked against.
-    """
-    vec = d.omega_col * x_s + d.z
-    return _event_holds(select(vec, spec), event)
-
-
 def membership_profile(
     xs: Sequence[float], d: Decomposition, spec: ThresholdSpec, event: SelectionEvent
 ) -> np.ndarray:
-    """Vectorized :func:`membership_oracle` over a grid of x_s values."""
+    """Does setting the selected statistic to each of ``xs`` reproduce the
+    event?
+
+    Runs the full selection procedure on every reconstructed vector at once;
+    this is the ground truth the support computation is checked against.
+    """
     xs = np.asarray(xs, dtype=float)
-    if thresholds_by_step(spec) is None:
-        return np.asarray([membership_oracle(x, d, spec, event) for x in xs])
     matrix = d.omega_col[:, None] * xs[None, :] + d.z[:, None]
     member = _batch_membership(matrix, spec)
     mask = np.zeros(spec.m, dtype=bool)
@@ -201,6 +183,13 @@ def membership_profile(
     if event.kind == "equal":
         return (member == mask[:, None]).all(axis=0)
     return member[mask].all(axis=0)
+
+
+def membership_oracle(
+    x_s: float, d: Decomposition, spec: ThresholdSpec, event: SelectionEvent
+) -> bool:
+    """:func:`membership_profile` at the one point ``x_s``."""
+    return bool(membership_profile([x_s], d, spec, event)[0])
 
 
 def merge_intervals(
@@ -295,6 +284,17 @@ def _window(a, b, c, strict):
 def _quiet_window(a, b, pick, c, two):
     """Interval where no picked score reaches c (closed at sloped lines)."""
     return _window(*_lines(a, b, two, pick), c, True)
+
+
+def _clear_window(a, b, pick, t, two):
+    """Interval where every picked score is at least the smallest critical
+    value in ``t``, as each required score of a ``superset`` event must be;
+    the whole line under two-sided testing, where a magnitude clears it on
+    both sides."""
+    if two:
+        return _everywhere(a.shape[0])
+    ra, rb = _lines(a, b, False, pick, _INF)
+    return _window(-ra, -rb, -t.min(), False)
 
 
 def _level_cells(a, b, levels, group, w_lo, w_hi):
@@ -476,9 +476,8 @@ def _count_step_down(a, b, t, inside, kind, two):
         return _gaps(window, bad)
     # step j either passes or every required score already clears t_j, so
     # level j is cut only where some required score is below t_j
-    ra, rb = _lines(a, b, two, inside, _INF)
-    window = _everywhere(k.size) if two else _window(-ra, -rb, -t[-1], False)
-    w_lo, w_hi = _below_hull(ra, rb, t, two, window)
+    window = _clear_window(a, b, inside, t, two)
+    w_lo, w_hi = _below_hull(*_lines(a, b, two, inside, _INF), t, two, window)
     owner, j = np.nonzero(w_lo < w_hi)
     need, k = j + 1, k[owner]
 
@@ -510,10 +509,7 @@ def _count_step_up(a, b, t, inside, kind, two):
         )
         return _gaps(window, bad_s, bad_c)
     # R is selected as soon as some r has N_{u_r} >= r with R at or above u_r
-    if two:
-        window = _everywhere(k.size)
-    else:
-        window = _window(*(-v for v in _lines(a, b, False, inside, _INF)), -u[-1], False)
+    window = _clear_window(a, b, inside, t, two)
     owner, j = _level_rows(np.full(k.size, m), m)
     need, k = j + 1, k[owner]
 

@@ -5,6 +5,11 @@ critical value.  Step-down procedures walk the statistics from largest to
 smallest against shrinking thresholds; step-up procedures walk from smallest
 to largest against growing ones.  Both are driven by the same
 :class:`ThresholdSpec`.
+
+One walk runs the procedure on every column of a statistic matrix, for all
+nine families; :func:`select` is its one-column case and the entry point,
+``step_down_select`` and ``step_up_select`` are ``select`` with a check of
+the procedure, and the batch membership mask is the walk's mask.
 """
 
 from __future__ import annotations
@@ -246,112 +251,102 @@ class SelectionOutcome:
         return frozenset(self.significant)
 
 
-def _scores(x: np.ndarray, sided: str) -> np.ndarray:
-    return np.abs(x) if sided == "two" else x
+def _walk(x: np.ndarray, spec: ThresholdSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Run the procedure on every column of an m x k statistic matrix.
 
-
-def step_down_select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
-    """Step-down selection: test statistics from the largest down.
-
-    At step j the j-th largest statistic (absolute value under two-sided
-    testing, ties broken by ascending index) is compared against the
-    threshold of the not-yet-rejected set; the walk stops at the first
-    failure.  The last statistic is tested like any other, matching the
-    set-level characterization of the procedure.
+    Column c of ``order`` lists column c's hypotheses as the procedure does,
+    the significant ones in its first ``count[c]`` rows: step-down from the
+    largest score down (ties by ascending index) until one is below its
+    step's threshold; step-up from the largest down to the first exceedance
+    of its walk up from the smallest.  ``met`` holds the critical values the
+    ``bootstrap`` walk met (NaN past a column's last); the other families
+    meet ``spec.steps`` and get None.  A NaN statistic raises ``ValueError``,
+    as does a step without a threshold: under step-down where a column
+    reaches it, under step-up up front.
     """
-    if spec.procedure != STEP_DOWN:
-        raise ValueError(f"spec drives a {spec.procedure} procedure")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.m,):
-        raise ValueError(f"expected {spec.m} statistics, got shape {x.shape}")
-    score = _scores(x, spec.sided)
-    order = np.lexsort((np.arange(spec.m), -score))
+    score = np.abs(x) if spec.sided == "two" else x
+    m, k = score.shape
+    up = spec.procedure == STEP_UP
+    order = np.argsort(score if up else -score, axis=0, kind="stable")
+    ranked = score[order, np.arange(k)]
+    # argsort puts NaN last, so the last row shows whether there is any
+    if np.isnan(ranked[-1]).any():
+        raise ValueError("statistics must not be NaN")
     steps = spec.steps
-    selected: list[int] = []
-    thresholds: list[float] = []
-    for j in range(spec.m):
-        if steps is None or math.isnan(steps[j]):
-            t = threshold_value(spec, order[j:])
-        else:
-            t = float(steps[j])
-        h = int(order[j])
-        if score[h] < t:
-            break
-        selected.append(h)
-        thresholds.append(t)
-    insignificant = tuple(sorted(set(range(spec.m)) - set(selected)))
-    return SelectionOutcome(
-        tuple(selected), insignificant, tuple(thresholds), STEP_DOWN
-    )
-
-
-def step_up_select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
-    """Step-up selection: accept statistics from the smallest up.
-
-    Statistics are walked in ascending order against non-decreasing
-    thresholds; the first exceedance and every larger statistic are
-    significant.  If no statistic (including the largest) exceeds its
-    threshold, nothing is selected.
-    """
-    if spec.procedure != STEP_UP:
-        raise ValueError(f"spec drives a {spec.procedure} procedure")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.m,):
-        raise ValueError(f"expected {spec.m} statistics, got shape {x.shape}")
-    score = _scores(x, spec.sided)
-    order = np.lexsort((np.arange(spec.m), score))
-    # step-up tail levels fall with the step, so steps without a threshold
-    # come first, the walk always reaches them, and thresholds_by_step may
-    # raise for them up front
-    steps = thresholds_by_step(spec)
-    stops = np.flatnonzero(score[order] >= steps)
-    if not stops.size:
-        return SelectionOutcome((), tuple(range(spec.m)), (), STEP_UP)
-    j = int(stops[0])
-    significant = tuple(order[j:][::-1].tolist())
-    insignificant = tuple(sorted(order[:j].tolist()))
-    return SelectionOutcome(
-        significant, insignificant, (float(steps[j]),) * len(significant), STEP_UP
-    )
+    if up:
+        # step-up tail levels fall with the step, so steps without a
+        # threshold come first and every walk reaches them
+        if math.isnan(steps[0]):
+            _missing_step(spec, 1)
+        exceeds = ranked >= steps[:, None]
+        count = np.where(exceeds.any(axis=0), m - exceeds.argmax(axis=0), 0)
+        return order[::-1], count, None
+    if steps is None:
+        met = np.full((m, k), np.nan)
+        count = np.full(k, m)
+        for c in range(k):
+            for j in range(m):
+                met[j, c] = threshold_value(spec, order[j:, c])
+                if ranked[j, c] < met[j, c]:
+                    count[c] = j
+                    break
+        return order, count, met
+    # step-down tail levels grow with the step, so steps without a threshold
+    # (NaN) come last; they fail no score, so a column passes the first of
+    # them exactly when it reaches it
+    fails = ranked < steps[:, None]
+    count = np.where(fails.any(axis=0), fails.argmax(axis=0), m)
+    if math.isnan(steps[-1]) and k and count.max() > np.isnan(steps).argmax():
+        _missing_step(spec, int(np.isnan(steps).argmax()) + 1)
+    return order, count, None
 
 
 def select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
-    """Run the procedure the spec is configured for."""
-    if spec.procedure == STEP_DOWN:
-        return step_down_select(x, spec)
-    return step_up_select(x, spec)
+    """Run the procedure the spec is configured for on one statistic vector.
+
+    Step-down tests the j-th largest statistic (absolute value under
+    two-sided testing) against the threshold of the not-yet-rejected set,
+    the last one like any other, matching the set-level characterization of
+    the procedure.  Step-up selects the first statistic, walking up from the
+    smallest, that exceeds its threshold and every larger one.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.m,):
+        raise ValueError(f"expected {spec.m} statistics, got shape {x.shape}")
+    order, count, met = _walk(x[:, None], spec)
+    listed, n = order[:, 0].tolist(), int(count[0])
+    if spec.procedure == STEP_UP:
+        thresholds = [float(spec.steps[-n])] * n if n else []
+    else:
+        thresholds = (spec.steps if met is None else met[:, 0])[:n].tolist()
+    return SelectionOutcome(
+        tuple(listed[:n]), tuple(sorted(listed[n:])), tuple(thresholds), spec.procedure
+    )
+
+
+def step_down_select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
+    """:func:`select` for a spec that drives a step-down procedure."""
+    if spec.procedure != STEP_DOWN:
+        raise ValueError(f"spec drives a {spec.procedure} procedure")
+    return select(x, spec)
+
+
+def step_up_select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
+    """:func:`select` for a spec that drives a step-up procedure."""
+    if spec.procedure != STEP_UP:
+        raise ValueError(f"spec drives a {spec.procedure} procedure")
+    return select(x, spec)
 
 
 def _batch_membership(x_matrix: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
     """Significance indicators for many statistic vectors at once.
 
     ``x_matrix`` has one length-m vector per column; the result is a boolean
-    matrix of the same shape.  Requires a cardinality-based family (per-step
-    thresholds); equivalent to running the scalar procedures column by
-    column.
+    matrix of the same shape whose column c is :func:`select` on column c.
     """
-    steps = thresholds_by_step(spec)
-    if steps is None:
-        raise ValueError("batch selection requires a cardinality-based family")
-    score = _scores(x_matrix, spec.sided)
-    m, k = score.shape
-    member = np.zeros((m, k), dtype=bool)
-    positions = np.arange(m)[:, None]
-    if spec.procedure == STEP_DOWN:
-        order = np.argsort(-score, axis=0, kind="stable")
-        sorted_scores = np.take_along_axis(score, order, axis=0)
-        fails = sorted_scores < steps[:, None]
-        any_fail = fails.any(axis=0)
-        first_fail = np.where(any_fail, fails.argmax(axis=0), m)
-        member_sorted = positions < first_fail[None, :]
-    else:
-        order = np.argsort(score, axis=0, kind="stable")
-        sorted_scores = np.take_along_axis(score, order, axis=0)
-        exceeds = sorted_scores >= steps[:, None]
-        any_exc = exceeds.any(axis=0)
-        first_exc = np.where(any_exc, exceeds.argmax(axis=0), m)
-        member_sorted = positions >= first_exc[None, :]
-    np.put_along_axis(member, order, member_sorted, axis=0)
+    order, count, _ = _walk(x_matrix, spec)
+    member = np.empty(order.shape, dtype=bool)
+    member[order, np.arange(count.size)] = np.arange(spec.m)[:, None] < count
     return member
 
 

@@ -56,6 +56,17 @@ def test_config_validation():
     for alpha in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError, match="alpha must lie in"):
             DesignConfig(alpha=alpha)
+    # sidedness, FWER level and effects are checked when the configuration
+    # is made, not inside simulate_design
+    with pytest.raises(ValueError, match="sided must be"):
+        DesignConfig(sided="three")
+    for fwer in (0.0, 1.0, 1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="fwer must lie in"):
+            DesignConfig(fwer=fwer)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            DesignConfig(theta=(0.05, bad, 0.0))
+    DesignConfig(sided="one", fwer=0.05)
     # integer fields refuse floats when the configuration is made, not
     # later inside the simulation
     for field, value in (("n", 300.5), ("reps", 10.5), ("seed", 1.5), ("target", 1.0)):

@@ -212,6 +212,28 @@ def test_membership_oracle_examples():
     assert not membership_oracle(1.5, d2, spec2, event2)
 
 
+def test_membership_profile_is_the_oracle_pointwise():
+    # Holm at 0.6 one-sided has no threshold at step 3: the profile answers
+    # wherever no point reaches it, as the oracle does, and raises as the
+    # oracle does where one does
+    omega = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.1], [-0.2, 0.1, 1.0]])
+    d = decompose(np.array([1.5, 0.1, -0.4]), omega, 0)
+    holm = ThresholdSpec("holm", 0.6, 3, "one")
+    xs = np.linspace(-3.0, 2.8, 59)  # statistic 1 stays below step 2's 0.524
+    rng = np.random.default_rng(7)
+    boot = ThresholdSpec("bootstrap", 0.15, 3, "two", draws=rng.standard_normal((99, 3)))
+    for spec in (holm, boot):
+        for event in (SelectionEvent.superset([0]), SelectionEvent.equal([0])):
+            want = [membership_oracle(x, d, spec, event) for x in xs]
+            assert membership_profile(xs, d, spec, event).tolist() == want
+    assert membership_profile(xs, d, holm, SelectionEvent.superset([0])).any()
+    far = decompose(np.array([1.5, 2.0, -0.4]), omega, 0)
+    with pytest.raises(ValueError, match="step 3"):
+        membership_oracle(3.0, far, holm, SelectionEvent.superset([0]))
+    with pytest.raises(ValueError, match="step 3"):
+        membership_profile(xs, far, holm, SelectionEvent.superset([0]))
+
+
 def test_support_univariate_two_sided():
     spec = ThresholdSpec("holm", 0.1, 1, "two")
     d = decompose(np.array([2.0]), np.eye(1), 0)

@@ -15,6 +15,7 @@ from condinfer.testing import (
     _batch_membership,
     load_bootstrap_draws,
     save_bootstrap_draws,
+    select,
     step_down_select,
     step_up_select,
     stream_keys,
@@ -143,6 +144,13 @@ def test_steps_are_computed_once_and_read_only():
     with pytest.raises(ValueError):
         step_down_select([3.0, 3.0], spec)
     assert step_down_select([0.1, 0.1], spec).significant == ()  # stops before it
+    # a batch raises only where some column reaches the missing step
+    three = ThresholdSpec("holm", 0.6, 3, "one")  # tails 0.2, 0.3, 0.6
+    xs = np.array([[0.1, 3.0, 3.0], [0.1, 0.2, 1.0], [0.1, 0.1, 0.1]])
+    member = _batch_membership(xs[:, :2], three)
+    assert member.tolist() == [[False, True], [False, False], [False, False]]
+    with pytest.raises(ValueError, match="step 3"):
+        _batch_membership(xs, three)
     with pytest.raises(ValueError):
         step_up_select([3.0, 3.0], ThresholdSpec("bh", 0.6, 2, "one"))
     assert step_down_select([3.0, 0.1], ThresholdSpec("holm", 0.6, 2, "two")).significant == (0,)
@@ -327,17 +335,43 @@ def test_holm_dominates_bonferroni():
         assert bonf.significant_set <= holm.significant_set
 
 
-def test_batch_membership_matches_scalar_procedures():
+def test_batch_membership_matches_set_characterization():
+    # statistics rounded to one decimal plant ties within and across columns
     rng = np.random.default_rng(31)
-    for family, proc in (("holm", step_down_select), ("by", step_up_select)):
+    draws = rng.standard_normal((60, 4))
+    cases = [
+        ("holm", {}), ("sidak_holm", {}), ("fdp", {"gamma": 0.35}),
+        ("fixed", {"table": (2.4, 2.0, 1.6, 1.2)}), ("bh", {}), ("by", {}),
+        ("fixed", {"table": (1.2, 1.6, 2.0, 2.4), "procedure": STEP_UP}),
+        ("bootstrap", {"draws": draws}),
+    ]
+    for family, kwargs in cases:
         for sided in ("one", "two"):
-            m = 5
-            spec = ThresholdSpec(family, 0.1, m, sided)
-            xs = rng.normal(0, 2, size=(m, 300))
+            spec = ThresholdSpec(family, 0.1, 4, sided, **kwargs)
+            brute = (
+                brute_force_step_up_sets if spec.procedure == STEP_UP
+                else brute_force_step_down_sets
+            )
+            xs = np.round(rng.normal(0, 2, size=(4, 40)), 1)
             member = _batch_membership(xs, spec)
             for k in range(xs.shape[1]):
-                expected = proc(xs[:, k], spec).significant_set
-                assert set(np.nonzero(member[:, k])[0].tolist()) == expected
+                hits = brute(xs[:, k], spec)
+                assert len(hits) == 1
+                assert set(np.flatnonzero(member[:, k]).tolist()) == hits[0]
+
+
+def test_nan_statistics_raise():
+    holm = ThresholdSpec("holm", 0.1, 2, "two")
+    bh = ThresholdSpec("bh", 0.1, 3, "one")
+    boot = ThresholdSpec("bootstrap", 0.2, 2, "two", draws=np.eye(2) + 1.0)
+    for x, spec in (([math.nan, 3.0], holm), ([math.nan, 4.0, 0.1], bh), ([3.0, math.nan], boot)):
+        with pytest.raises(ValueError, match="NaN"):
+            select(x, spec)
+        with pytest.raises(ValueError, match="NaN"):
+            _batch_membership(np.array(x)[:, None], spec)
+    # infinite statistics stay valid scores
+    assert select([math.inf, -math.inf], holm).significant == (0, 1)
+    assert select([-math.inf, math.inf, 0.1], bh).significant == (1,)
 
 
 def test_wild_bootstrap_shape_and_determinism():
