@@ -7,8 +7,9 @@ median-unbiased estimate (p = 0.5) and an equal-tailed conditional
 confidence interval (p = 1 - alpha/2 and alpha/2).  :func:`infer_significant`
 and :func:`~condinfer.sim.simulate_design` share one solve path: the
 supports of all selected (row, effect, event) problems come from one
-stacked call of the count engine, then all roots from one call of the
-inversion kernel, and each failure stays with its own problem.
+stacked :func:`~condinfer.support.conditional_support` call, then all roots
+from one stacked :func:`~condinfer.stats_core.invert_truncated_mu` call, and
+each failure stays with its own problem.
 """
 
 from __future__ import annotations
@@ -19,23 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# invert_truncated_mu and decompose stay importable here for tools that wrap
-# them by these names
-from .stats_core import (  # noqa: F401
+from .stats_core import (
     BoundaryStatisticError,
     IntervalUnion,
-    _inversion_error,
-    _invert_supports,
     invert_truncated_mu,
     normal_quantile,
 )
+
+# decompose stays importable here for tools that wrap it by this name
 from .support import (  # noqa: F401
     SelectionEvent,
     _decompose,
     conditional_support,
     decompose,
 )
-from .testing import ThresholdSpec, select
+from .testing import ThresholdSpec, as_index, select
 
 _WORKERS_ENV = "CONDINFER_WORKERS"
 
@@ -109,6 +108,8 @@ def unconditional_ci(
     estimates: EffectEstimates, s: int, alpha: float
 ) -> tuple[float, float]:
     """Conventional equal-tailed interval theta_hat_s +/- sd_s z_{1-alpha/2}."""
+    if estimates.theta_hat.ndim != 1:
+        raise ValueError("unconditional_ci takes a single problem, not a batch")
     if not 0 <= s < estimates.m:
         raise ValueError(f"effect index {s} out of range for m={estimates.m}")
     if not 0.0 < alpha < 1.0:
@@ -152,8 +153,9 @@ def _solve(x, omega, sd, problems, spec, alpha, workers=1):
     ``omega`` and ``sd`` studentized and stacked by row.  Every support comes
     from one stacked :func:`conditional_support` call (one per contiguous
     chunk of the problems on ``workers`` threads), then every root from one
-    kernel call.  A failed problem has NaN roots (and support None if its
-    support failed); the others are unaffected.
+    stacked :func:`invert_truncated_mu` call.  A failed problem has NaN
+    roots (and support None if its support failed); the others are
+    unaffected.
     """
     if not problems:
         return [], np.empty((0, 3)), []
@@ -176,16 +178,15 @@ def _solve(x, omega, sd, problems, spec, alpha, workers=1):
         found = list(map(supports_of, parts))
     found = [f for part in found for f in part]
     errors = [f if isinstance(f, Exception) else None for f in found]
-    solved = [(k, row, s) for k, (row, s, _) in enumerate(problems) if errors[k] is None]
-    stats = [float(x[row, s]) for _, row, s in solved]
-    mu, code = _invert_supports(
-        stats, [found[k].intervals for k, _, _ in solved], (1.0 - alpha / 2.0, 0.5, alpha / 2.0)
+    solved = np.array([k for k, error in enumerate(errors) if error is None], dtype=np.intp)
+    rows, effects = rows[solved], effects[solved]
+    mu, inverted = invert_truncated_mu(
+        x[rows, effects].tolist(), [found[k] for k in solved], (1.0 - alpha / 2.0, 0.5, alpha / 2.0)
     )
     roots = np.full((len(problems), 3), math.nan)
-    for (k, row, s), x_s, row_mu, row_code in zip(solved, stats, mu, code):
-        errors[k] = _inversion_error(x_s, row_code)
-        if errors[k] is None:
-            roots[k] = sd[row, s] * row_mu
+    roots[solved] = sd[rows, effects][:, None] * mu
+    for k, error in zip(solved.tolist(), inverted):
+        errors[k] = error
     return [None if isinstance(f, Exception) else f for f in found], roots, errors
 
 
@@ -214,8 +215,11 @@ def infer_significant(
         raise ValueError(f"unknown event kind {event_kind!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if estimates.theta_hat.ndim != 1:
+        raise ValueError("infer_significant takes a single problem, not a batch")
     if workers is None:
         workers = int(os.environ.get(_WORKERS_ENV, "1"))
+    workers = as_index(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     x, omega, sd = studentize(estimates)

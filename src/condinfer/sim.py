@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -22,14 +21,7 @@ import numpy as np
 from .inference import EffectEstimates, _solve, studentize
 from .stats_core import normal_quantile
 from .support import SelectionEvent
-
-# step_down_select stays importable here for tools that wrap it by this name
-from .testing import (  # noqa: F401
-    ThresholdSpec,
-    _batch_membership,
-    keyed_streams,
-    step_down_select,
-)
+from .testing import ThresholdSpec, as_index, keyed_streams, step_down_select
 
 #: Replications whose samples are held in memory at once.
 _CHUNK = 64
@@ -64,10 +56,7 @@ class DesignConfig:
             value = getattr(self, name)
             if value is None and name == "reps":
                 continue
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, as_index(value, name))
         if self.design not in ("normal", "chisq"):
             raise ValueError(f"unknown design {self.design!r}")
         if self.seed < 0:
@@ -256,7 +245,7 @@ def simulate_design(cfg: DesignConfig) -> SimulationSummary:
     )
     estimates = _block_estimates(cfg, chol)
     x, omega, sd = studentize(estimates)
-    member = _batch_membership(x.T, spec)
+    member = step_down_select(x.T, spec)
     t = cfg.target
     selected = np.flatnonzero(member[t])
     problems = [

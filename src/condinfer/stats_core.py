@@ -8,8 +8,10 @@ and serves both :func:`truncated_cdf` and the inversion kernel, which
 solves a batch of (statistic, support, target) problems at once with no cap
 on how far a root may lie from its statistic (next to a support endpoint,
 thousands of standard deviations is a real answer); a problem whose
-truncated mass vanishes in doubles fails alone.  Everything here is a pure
-function of its arguments.
+truncated mass vanishes in doubles fails alone.  :func:`invert_truncated_mu`
+is the kernel's one entry: one statistic with one support raises its error,
+a stack of (statistic, support) pairs gets each pair's error back in a list.
+Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -327,41 +329,7 @@ def _invert_batch(
     return root, code
 
 
-def _invert_supports(x_obs, supports, p) -> tuple[np.ndarray, np.ndarray]:
-    """Roots and status codes of every (statistic, support) pair at every
-    target in ``p``, each of shape (pairs, targets), from one call of
-    :func:`_invert_batch`.  ``supports`` holds each pair's intervals as
-    (lo, hi) tuples; shorter ones are padded with empty intervals."""
-    p = np.asarray(p, dtype=float)
-    width = max((len(ends) for ends in supports), default=1)
-    bounds = np.zeros((len(supports), 2, width))
-    for i, ends in enumerate(supports):
-        bounds[i, :, : len(ends)] = np.array(ends).T
-    bounds = np.repeat(bounds, p.size, axis=0)
-    roots, code = _invert_batch(
-        np.repeat(np.asarray(x_obs, dtype=float), p.size),
-        bounds[:, 0],
-        bounds[:, 1],
-        np.tile(p, len(supports)),
-    )
-    return roots.reshape(-1, p.size), code.reshape(-1, p.size)
-
-
-def _inversion_error(x_obs: float, code: np.ndarray) -> Exception | None:
-    """The error that a statistic's status codes stand for, or None when
-    every one of its roots was found."""
-    if (code == _BOUNDARY).any():
-        return BoundaryStatisticError(
-            f"x_obs={x_obs!r} must lie in the interior of the support"
-        )
-    if (code == _DEGENERATE).any():
-        return DegenerateSupportError(
-            f"truncated mass vanished in log space for x_obs={x_obs!r}"
-        )
-    return None
-
-
-def invert_truncated_mu(x_obs: float, support: IntervalUnion, p):
+def invert_truncated_mu(x_obs, support, p):
     """Solve ``truncated_cdf(x_obs, (mu, support)) = p`` for the mean.
 
     The truncated CDF is strictly decreasing in ``mu`` with limits 1 and 0
@@ -371,14 +339,47 @@ def invert_truncated_mu(x_obs: float, support: IntervalUnion, p):
     kernel.  Raises :class:`BoundaryStatisticError` when ``x_obs`` is not in
     the interior of the support and :class:`DegenerateSupportError` when
     the truncated mass vanishes in doubles.
+
+    A sequence of statistics with a sequence of supports, one per pair,
+    gives ``(roots, errors)`` from one kernel call: ``roots`` of shape
+    (pairs, targets), and ``errors`` with each pair's error, or None where
+    every root of the pair was found.  A pair with an error has a row of
+    NaN roots; the other pairs are unaffected.
     """
     targets = np.atleast_1d(np.asarray(p, dtype=float))
     if targets.ndim != 1 or not np.all((targets > 0.0) & (targets < 1.0)):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    if support.is_empty:
+    single = isinstance(support, IntervalUnion)
+    stats, supports = ([x_obs], [support]) if single else (list(x_obs), list(support))
+    if len(stats) != len(supports):
+        raise ValueError(f"{len(stats)} statistics for {len(supports)} supports")
+    if any(union.is_empty for union in supports):
         raise ValueError("support must be nonempty")
-    (roots,), (code,) = _invert_supports([x_obs], [support.intervals], targets)
-    error = _inversion_error(x_obs, code)
-    if error is not None:
-        raise error
-    return float(roots[0]) if np.ndim(p) == 0 else roots
+    width = max((len(union) for union in supports), default=1)
+    bounds = np.zeros((len(supports), 2, width))
+    for i, union in enumerate(supports):
+        bounds[i, :, : len(union)] = np.array(union.intervals).T
+    bounds = np.repeat(bounds, targets.size, axis=0)
+    roots, code = _invert_batch(
+        np.repeat(np.asarray(stats, dtype=float), targets.size),
+        bounds[:, 0],
+        bounds[:, 1],
+        np.tile(targets, len(supports)),
+    )
+    roots, code = roots.reshape(-1, targets.size), code.reshape(-1, targets.size)
+    errors = [None] * len(stats)
+    for i in np.flatnonzero((code != _SOLVED).any(axis=1)).tolist():
+        if (code[i] == _BOUNDARY).any():
+            errors[i] = BoundaryStatisticError(
+                f"x_obs={stats[i]!r} must lie in the interior of the support"
+            )
+        else:
+            errors[i] = DegenerateSupportError(
+                f"truncated mass vanished in log space for x_obs={stats[i]!r}"
+            )
+        roots[i] = math.nan
+    if not single:
+        return roots, errors
+    if errors[0] is not None:
+        raise errors[0]
+    return float(roots[0, 0]) if np.ndim(p) == 0 else roots[0]

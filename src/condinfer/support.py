@@ -61,7 +61,8 @@ from .stats_core import DegenerateSupportError, IntervalUnion
 from .testing import (
     STEP_DOWN,
     ThresholdSpec,
-    _batch_membership,
+    as_index,
+    select,
     threshold_value,
     thresholds_by_step,
 )
@@ -153,7 +154,8 @@ class SelectionEvent:
     def __post_init__(self) -> None:
         if self.kind not in ("equal", "superset"):
             raise ValueError(f"unknown event kind {self.kind!r}")
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
+        indices = frozenset(as_index(i, "event index") for i in self.indices)
+        object.__setattr__(self, "indices", indices)
         if self.kind == "superset" and not self.indices:
             raise ValueError("a superset event needs a nonempty target set")
 
@@ -177,7 +179,7 @@ def membership_profile(
     """
     xs = np.asarray(xs, dtype=float)
     matrix = d.omega_col[:, None] * xs[None, :] + d.z[:, None]
-    member = _batch_membership(matrix, spec)
+    member = select(matrix, spec)
     mask = np.zeros(spec.m, dtype=bool)
     mask[list(event.indices)] = True
     if event.kind == "equal":

@@ -7,9 +7,10 @@ to largest against growing ones.  Both are driven by the same
 :class:`ThresholdSpec`.
 
 One walk runs the procedure on every column of a statistic matrix, for all
-nine families; :func:`select` is its one-column case and the entry point,
-``step_down_select`` and ``step_up_select`` are ``select`` with a check of
-the procedure, and the batch membership mask is the walk's mask.
+nine families.  :func:`select` is the entry point for both shapes: a vector
+gives its :class:`SelectionOutcome`, an m x k matrix the k columns'
+significance mask from the same walk.  ``step_down_select`` and
+``step_up_select`` are ``select`` with a check of the procedure.
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ FAMILIES = _STEP_DOWN_FAMILIES | _STEP_UP_FAMILIES
 
 class ZeroVarianceError(ArithmeticError):
     """A bootstrap replicate produced a vanishing standard error."""
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as an int through :func:`operator.index`; anything else,
+    a bool included, raises ``ValueError``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _harmonic(m: int) -> float:
@@ -72,6 +84,7 @@ class ThresholdSpec:
             raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
         if self.sided not in ("one", "two"):
             raise ValueError(f"sided must be 'one' or 'two', got {self.sided!r}")
+        object.__setattr__(self, "m", as_index(self.m, "m"))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m!r}")
 
@@ -88,6 +101,8 @@ class ThresholdSpec:
                     "bootstrap draws must be a B x m matrix with B >= 2, "
                     f"got shape {getattr(draws, 'shape', None)!r}"
                 )
+            if not np.isfinite(draws).all():
+                raise ValueError("bootstrap draws must be finite")
             object.__setattr__(self, "draws", draws)
         elif self.draws is not None:
             raise ValueError("draws are only meaningful for the bootstrap family")
@@ -301,19 +316,28 @@ def _walk(x: np.ndarray, spec: ThresholdSpec) -> tuple[np.ndarray, np.ndarray, n
     return order, count, None
 
 
-def select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
-    """Run the procedure the spec is configured for on one statistic vector.
+def select(x, spec: ThresholdSpec) -> SelectionOutcome | np.ndarray:
+    """Run the procedure the spec is configured for.
 
     Step-down tests the j-th largest statistic (absolute value under
     two-sided testing) against the threshold of the not-yet-rejected set,
     the last one like any other, matching the set-level characterization of
     the procedure.  Step-up selects the first statistic, walking up from the
     smallest, that exceeds its threshold and every larger one.
+
+    A length-m vector gives its :class:`SelectionOutcome`.  An m x k matrix,
+    one statistic vector per column, gives a boolean matrix of the same
+    shape whose column c marks the significant set of column c, from one
+    walk over every column.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (spec.m,):
+    if x.ndim not in (1, 2) or x.shape[0] != spec.m:
         raise ValueError(f"expected {spec.m} statistics, got shape {x.shape}")
-    order, count, met = _walk(x[:, None], spec)
+    order, count, met = _walk(x if x.ndim == 2 else x[:, None], spec)
+    if x.ndim == 2:
+        member = np.empty(order.shape, dtype=bool)
+        member[order, np.arange(count.size)] = np.arange(spec.m)[:, None] < count
+        return member
     listed, n = order[:, 0].tolist(), int(count[0])
     if spec.procedure == STEP_UP:
         thresholds = [float(spec.steps[-n])] * n if n else []
@@ -324,30 +348,18 @@ def select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
     )
 
 
-def step_down_select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
+def step_down_select(x, spec: ThresholdSpec) -> SelectionOutcome | np.ndarray:
     """:func:`select` for a spec that drives a step-down procedure."""
     if spec.procedure != STEP_DOWN:
         raise ValueError(f"spec drives a {spec.procedure} procedure")
     return select(x, spec)
 
 
-def step_up_select(x: Sequence[float], spec: ThresholdSpec) -> SelectionOutcome:
+def step_up_select(x, spec: ThresholdSpec) -> SelectionOutcome | np.ndarray:
     """:func:`select` for a spec that drives a step-up procedure."""
     if spec.procedure != STEP_UP:
         raise ValueError(f"spec drives a {spec.procedure} procedure")
     return select(x, spec)
-
-
-def _batch_membership(x_matrix: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
-    """Significance indicators for many statistic vectors at once.
-
-    ``x_matrix`` has one length-m vector per column; the result is a boolean
-    matrix of the same shape whose column c is :func:`select` on column c.
-    """
-    order, count, _ = _walk(x_matrix, spec)
-    member = np.empty(order.shape, dtype=bool)
-    member[order, np.arange(count.size)] = np.arange(spec.m)[:, None] < count
-    return member
 
 
 _MASK32 = 0xFFFFFFFF
@@ -376,7 +388,7 @@ def stream_keys(seed: int, indices) -> np.ndarray:
     the seed alone and is computed once.  Indices must lie in [0, 2**32),
     where the spawn key is a single word.
     """
-    seed = operator.index(seed)
+    seed = as_index(seed, "seed")
     indices = np.asarray(indices)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
@@ -442,6 +454,7 @@ def wild_bootstrap_draws(
     cluster_ids = np.asarray(cluster_ids)
     if cluster_ids.shape != (n,):
         raise ValueError("cluster_ids must have one label per residual row")
+    n_draws = as_index(n_draws, "n_draws")
     if n_draws < 2:
         raise ValueError("at least 2 bootstrap draws are required")
     _, inverse = np.unique(cluster_ids, return_inverse=True)

@@ -35,8 +35,6 @@ from condinfer.stats_core import (
     invert_truncated_mu,
     normal_quantile,
     truncated_cdf,
-    _SOLVED,
-    _invert_supports,
 )
 from condinfer.support import (
     SelectionEvent,
@@ -139,10 +137,10 @@ def known_v_study():
         support = conditional_support(d, spec, event)
         transforms.append(truncated_cdf(d.x_s, TruncatedGaussian(mu[0], support)))
         x_obs.append(d.x_s)
-        supports.append(support.intervals)
+        supports.append(support)
     # every draw's three targets in one kernel call; any unsolved root fails
-    roots, code = _invert_supports(x_obs, supports, (0.95, 0.5, 0.05))
-    assert (code == _SOLVED).all()
+    roots, errors = invert_truncated_mu(x_obs, supports, (0.95, 0.5, 0.05))
+    assert errors == [None] * len(x_obs)
     lo, ub, hi = roots.T
     return {
         "modal": modal,

@@ -244,6 +244,28 @@ def test_bootstrap_procedure_via_file(tmp_path, capsys, single_effect):
     assert doc["procedure_kind"] == "step_down"
 
 
+def test_bootstrap_draws_with_nan_rejected(tmp_path, capsys):
+    # ranked as the largest maximum, the NaN would give x̄({1}) = 3.0
+    est, cov, draws = tmp_path / "e.csv", tmp_path / "c.csv", tmp_path / "draws.csv"
+    write(est, "id,estimate\na,3.5\nb,0.1\n")
+    write(cov, "1.0,0.0\n0.0,1.0\n")
+    write(draws, "1.0,nan\n2.0,3.0\n0.5,1.0\n")
+    rc = main(
+        [
+            "select",
+            "--estimates", str(est),
+            "--cov", str(cov),
+            "--procedure", "bootstrap",
+            "--sided", "one",
+            "--level", "0.5",
+            "--bootstrap-draws", str(draws),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error code=E_INVALID" in err and "finite" in err
+
+
 def test_fixed_step_up_table(tmp_path, capsys):
     est = tmp_path / "e.csv"
     cov = tmp_path / "c.csv"

@@ -19,8 +19,6 @@ from condinfer.stats_core import (
     invert_truncated_mu,
     normal_quantile,
     truncated_cdf,
-    _SOLVED,
-    _invert_supports,
 )
 from condinfer.support import SelectionEvent, conditional_support, decompose
 from condinfer.testing import ThresholdSpec, step_down_select
@@ -247,9 +245,26 @@ def test_workers_below_one_rejected(monkeypatch):
     spec = ThresholdSpec("holm", 0.1, 2, "two")
     with pytest.raises(ValueError, match="workers must be at least 1"):
         infer_significant(e, spec, workers=-2)
+    # a non-integer count is refused even where two effects are selected
+    two = EffectEstimates(np.array([3.2, 3.0]), np.eye(2))
+    for workers in (1.5, "2", True):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            infer_significant(two, spec, workers=workers)
     monkeypatch.setenv("CONDINFER_WORKERS", "0")
     with pytest.raises(ValueError, match="workers must be at least 1"):
         infer_significant(e, spec)
+
+
+def test_batched_estimates_rejected():
+    # R x m estimates with R == m would otherwise reach the matrix form of
+    # select; both single-problem entry points refuse them
+    rng = np.random.default_rng(4)
+    batch = EffectEstimates(rng.normal(3.0, 1.0, size=(3, 3)), np.tile(np.eye(3), (3, 1, 1)))
+    spec = ThresholdSpec("holm", 0.1, 3, "two")
+    with pytest.raises(ValueError, match="single problem"):
+        infer_significant(batch, spec)
+    with pytest.raises(ValueError, match="single problem"):
+        unconditional_ci(batch, 0, 0.1)
 
 
 def test_known_v_conditional_coverage_and_median_unbiasedness():
@@ -272,10 +287,10 @@ def test_known_v_conditional_coverage_and_median_unbiasedness():
         support = conditional_support(d, spec, event)
         transforms.append(truncated_cdf(d.x_s, TruncatedGaussian(mu[0], support)))
         x_obs.append(d.x_s)
-        supports.append(support.intervals)
+        supports.append(support)
     # every draw's three targets in one kernel call; any unsolved root fails
-    roots, code = _invert_supports(x_obs, supports, (0.95, 0.5, 0.05))
-    assert (code == _SOLVED).all()
+    roots, errors = invert_truncated_mu(x_obs, supports, (0.95, 0.5, 0.05))
+    assert errors == [None] * len(x_obs)
     lo, ub, hi = roots.T
     covered = (lo <= mu[0]) & (mu[0] <= hi)
     above = ub >= mu[0]

@@ -400,3 +400,37 @@ def test_batch_failures_stay_per_problem():
         invert_truncated_mu(2.0 + 1e-12, IntervalUnion(((2.0, 4.0),)), 0.99)
     with pytest.raises(BoundaryStatisticError):
         invert_truncated_mu(2.0, IntervalUnion(((2.0, 4.0),)), 0.5)
+
+
+def test_stacked_inversion_matches_single_calls():
+    # pairs of (statistic, support): solved; degenerate at p = 0.99 only, so
+    # its other two roots are found but its whole row is NaN; on an
+    # endpoint; and solved on a two-piece support
+    stats = [2.5, 2.0 + 1e-8, 2.0, -1.9]
+    supports = [
+        IntervalUnion(((2.0, 4.0),)),
+        IntervalUnion(((2.0, 4.0),)),
+        IntervalUnion(((2.0, 4.0),)),
+        IntervalUnion(((-INF, -1.6449), (1.6449, INF))),
+    ]
+    targets = (0.99, 0.5, 0.05)
+    roots, errors = invert_truncated_mu(stats, supports, targets)
+    assert roots.shape == (4, 3) and len(errors) == 4
+    for x, support, row, error in zip(stats, supports, roots, errors):
+        try:
+            alone = invert_truncated_mu(x, support, targets)
+        except (BoundaryStatisticError, DegenerateSupportError) as exc:
+            assert type(error) is type(exc) and str(error) == str(exc)
+            assert np.isnan(row).all()
+        else:
+            assert error is None
+            np.testing.assert_array_equal(row, alone)
+    assert [type(e) for e in errors] == [
+        type(None), DegenerateSupportError, BoundaryStatisticError, type(None)
+    ]
+    roots, errors = invert_truncated_mu([], [], targets)
+    assert roots.shape == (0, 3) and errors == []
+    with pytest.raises(ValueError):
+        invert_truncated_mu([2.5], supports[:2], targets)
+    with pytest.raises(ValueError):
+        invert_truncated_mu([2.5], [IntervalUnion()], targets)

@@ -182,6 +182,11 @@ def test_selection_event_validation():
         SelectionEvent.superset([])
     with pytest.raises(ValueError):
         SelectionEvent("nonsense", frozenset({1}))
+    # indices are taken through operator.index, not truncated or parsed
+    for bad in ([0.7], ["1"], [True], [1.0]):
+        with pytest.raises(ValueError, match="event index must be an integer"):
+            SelectionEvent.equal(bad)
+    assert SelectionEvent.superset(np.array([2, 0])).indices == {0, 2}
 
 
 def test_merge_intervals_examples():
@@ -672,9 +677,22 @@ def test_traced_names_exist_and_are_looked_up():
     assert figures["support.conditional_support_s"] > 0
     assert figures["support.intervals"] >= 3
     assert figures["support.raw_pieces"] >= figures["support.intervals"]
-    # infer solves every effect's roots in one call of the batch kernel and
-    # no longer goes through invert_truncated_mu; that time is inference's own
-    assert figures["stats_core.invert_truncated_mu_calls"] == 0
+    # and one stacked inversion for all their roots
+    assert figures["stats_core.invert_truncated_mu_calls"] == 1
+    assert figures["stats_core.invert_truncated_mu_s"] > 0
+
+    # simulate selects every replication in one stacked call, then solves
+    # the selected ones with one support call and one inversion
+    tracer = layers.Tracer(ci)
+    tracer.install()
+    try:
+        ci.simulate_design(ci.DesignConfig(n=50, reps=40, seed=3, theta=(0.5, 0.3, 0.0)))
+    finally:
+        tracer.uninstall()
+    figures = {k: v["value"] for k, v in tracer.metrics().items()}
+    assert figures["testing.select_s"] > 0
+    assert figures["stats_core.invert_truncated_mu_calls"] == 1
+    assert figures["support.conditional_support_calls"] == 1
 
 
 def test_inconsistent_event_error():

@@ -12,7 +12,6 @@ from condinfer.testing import (
     STEP_UP,
     ThresholdSpec,
     ZeroVarianceError,
-    _batch_membership,
     load_bootstrap_draws,
     save_bootstrap_draws,
     select,
@@ -147,10 +146,10 @@ def test_steps_are_computed_once_and_read_only():
     # a batch raises only where some column reaches the missing step
     three = ThresholdSpec("holm", 0.6, 3, "one")  # tails 0.2, 0.3, 0.6
     xs = np.array([[0.1, 3.0, 3.0], [0.1, 0.2, 1.0], [0.1, 0.1, 0.1]])
-    member = _batch_membership(xs[:, :2], three)
+    member = step_down_select(xs[:, :2], three)
     assert member.tolist() == [[False, True], [False, False], [False, False]]
     with pytest.raises(ValueError, match="step 3"):
-        _batch_membership(xs, three)
+        step_down_select(xs, three)
     with pytest.raises(ValueError):
         step_up_select([3.0, 3.0], ThresholdSpec("bh", 0.6, 2, "one"))
     assert step_down_select([3.0, 0.1], ThresholdSpec("holm", 0.6, 2, "two")).significant == (0,)
@@ -196,6 +195,20 @@ def test_spec_validation():
         ThresholdSpec("bh", 0.1, 3, procedure=STEP_DOWN)
     assert ThresholdSpec("bh", 0.1, 3).procedure == STEP_UP
     assert ThresholdSpec("holm", 0.1, 3).procedure == STEP_DOWN
+    # m is taken through operator.index: floats, strings and bools are refused
+    for m in (2.0, "3", True, None):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            ThresholdSpec("holm", 0.1, m, "two")
+    assert ThresholdSpec("holm", 0.1, np.int64(3), "two").m == 3
+
+
+def test_bootstrap_draws_must_be_finite():
+    # a NaN draw would be ranked as the largest per-draw maximum: here
+    # x̄({1}) would be 3.0, the maximum of the finite draws alone
+    draws = np.array([[1.0, math.nan], [2.0, 3.0], [0.5, 1.0]])
+    for bad in (draws, np.where(np.isnan(draws), math.inf, draws)):
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdSpec("bootstrap", 0.5, 2, "one", draws=bad)
 
 
 def test_step_down_hand_traces():
@@ -353,11 +366,12 @@ def test_batch_membership_matches_set_characterization():
                 else brute_force_step_down_sets
             )
             xs = np.round(rng.normal(0, 2, size=(4, 40)), 1)
-            member = _batch_membership(xs, spec)
+            member = select(xs, spec)
             for k in range(xs.shape[1]):
                 hits = brute(xs[:, k], spec)
                 assert len(hits) == 1
                 assert set(np.flatnonzero(member[:, k]).tolist()) == hits[0]
+                assert select(xs[:, k], spec).significant_set == hits[0]
 
 
 def test_nan_statistics_raise():
@@ -368,7 +382,7 @@ def test_nan_statistics_raise():
         with pytest.raises(ValueError, match="NaN"):
             select(x, spec)
         with pytest.raises(ValueError, match="NaN"):
-            _batch_membership(np.array(x)[:, None], spec)
+            select(np.array(x)[:, None], spec)
     # infinite statistics stay valid scores
     assert select([math.inf, -math.inf], holm).significant == (0, 1)
     assert select([-math.inf, math.inf, 0.1], bh).significant == (1,)
@@ -434,9 +448,17 @@ def test_stream_keys_match_seed_sequence(seed):
 
 
 def test_stream_keys_reject_out_of_range():
-    for seed, indices in ((0, [2**32]), (0, [-1]), (-1, [0])):
+    for seed, indices in ((0, [2**32]), (0, [-1]), (-1, [0]), (2.5, [0]), (True, [0])):
         with pytest.raises(ValueError):
             stream_keys(seed, indices)
+
+
+def test_wild_bootstrap_draw_count_must_be_an_integer():
+    residuals = np.random.default_rng(3).standard_normal((4, 2))
+    for n_draws in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match="n_draws must be an integer"):
+            wild_bootstrap_draws(residuals, [0, 0, 1, 1], n_draws, seed=0)
+    assert wild_bootstrap_draws(residuals, [0, 0, 1, 1], np.int32(3), seed=0).shape == (3, 2)
 
 
 def test_wild_bootstrap_zero_residuals_error():
